@@ -1,0 +1,9 @@
+"""Make the benchmark modules, finsemi and the repository's test oracles importable."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "bench", ROOT / "src", ROOT / "tests"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
