@@ -179,7 +179,7 @@ def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_
         img[k] = -1
 
     assign(0)
-    return PermGroup(n, found, validate=True)
+    return PermGroup(n, found)
 
 
 @dataclass(frozen=True)

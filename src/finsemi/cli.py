@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 
 from .core import (
@@ -40,29 +39,12 @@ from .inflation import (
 from .theorem import verify_theorem
 from .automorphisms import DEFAULT_MAX_ORDER, enumerate_automorphisms
 
-PARALLELISM_ENV = "FINSEMI_PARALLELISM"
-
 
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     with open(path, "r", encoding="ascii") as fh:
         return fh.read()
-
-
-def _parallelism(args) -> int | None:
-    value = getattr(args, "parallelism", None)
-    if value is None:
-        env = os.environ.get(PARALLELISM_ENV)
-        if env is None:
-            return None
-        try:
-            value = int(env)
-        except ValueError:
-            raise FinsemiError(f"{PARALLELISM_ENV} must be an integer, got {env!r}") from None
-    if value < 1:
-        raise FinsemiError(f"parallelism must be positive, got {value}")
-    return value
 
 
 def _cmd_check(args) -> int:
@@ -175,7 +157,6 @@ def _cmd_build_inflation(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    _parallelism(args)
     task = EnumerationTask(args.order, args.mode.replace("-", "_"))
     count = 0
     for table in enumerate_semigroups(task, max_order=args.max_order):
@@ -189,7 +170,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    _parallelism(args)
     task = EnumerationTask(args.order, args.mode.replace("-", "_"))
     if args.report == "-":
         sink = sys.stdout
@@ -267,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--max-order", type=int, default=DEFAULT_MAX_ENUM_ORDER, dest="max_order"
         )
-        sub.add_argument("--parallelism", type=int, default=None, help="worker hint")
         sub.add_argument(
             "--format", choices=("text", "structured"), default="text", help="output form"
         )

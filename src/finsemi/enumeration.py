@@ -29,15 +29,12 @@ class EnumerationTask:
 
     order: int
     mode: str = "labelled"
-    parallelism: int | None = None  # accepted as a hint, current search is sequential
 
     def __post_init__(self):
         if self.order < 1:
             raise MalformedInput(f"order must be at least 1, got {self.order}")
         if self.mode not in MODES:
             raise MalformedInput(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.parallelism is not None and self.parallelism < 1:
-            raise MalformedInput(f"parallelism must be positive, got {self.parallelism}")
 
 
 def _triple_ok(g: list[list[int]], a: int, b: int, c: int) -> bool:

@@ -16,6 +16,7 @@ import time
 from contextlib import contextmanager
 
 from finsemi import (
+    CayleyTable,
     EnumerationTask,
     FiberSizeSpec,
     build_inflation,
@@ -61,6 +62,24 @@ def theorem_frame(table):
     sub, old_ids = restrict_to_subsemigroup(table, t.representatives)
     sizes = tuple(len(psi.block_containing(r)) for r in old_ids)
     return psi, t, scheme, sub, sizes
+
+
+def larger_g_tables():
+    """Inflations whose G is larger than at any order up to 3.
+
+    L2 at sizes (4, 4) has |G| = 36 and |Aut| = 72; the left-zero L3 at
+    sizes (3, 3, 3) has |G| = 8 and |H| = 6.
+    """
+    l3 = CayleyTable([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+    specs = (FiberSizeSpec(FIXTURES["L2"], (4, 4)), FiberSizeSpec(l3, (3, 3, 3)))
+    return [build_inflation(spec)[0] for spec in specs]
+
+
+def assert_verified_against(table, g):
+    """verify_theorem, which never lists G, agrees with the explicit G."""
+    report = verify_theorem(table)
+    assert report.all_flags, report.witnesses
+    assert report.g_order == len(g)
 
 
 def test_criterion_1_fixture_verdicts():
@@ -139,34 +158,35 @@ def test_criterion_4_extendability_is_complete(corpus_by_order):
 
 
 def test_criterion_5_decomposition_uniqueness(corpus_by_order):
-    with criterion(5, "orders 1-3: every automorphism factors uniquely through G and H-bar"):
-        for n in (1, 2, 3):
-            for table in corpus_by_order[n]:
-                psi, t, scheme, sub, sizes = theorem_frame(table)
-                g = psi_class_group(psi)
-                h_bar = embed_h(extendable_automorphisms(sub, sizes), scheme)
-                aut = enumerate_automorphisms(table)
-                # pair counting: the product map is a bijection onto Aut S
-                products = {
-                    compose(pi, tb) for pi in g for tb in h_bar
-                }
-                assert len(products) == len(g) * len(h_bar) == len(aut)
-                assert products == set(aut.elements)
-                g_set = set(g.elements)
-                h_bar_set = set(h_bar.elements)
-                for phi in aut:
-                    tau, pi = decompose_automorphism(table, phi, psi, t, scheme)
-                    tau_bar = extend_automorphism(tau, scheme)
-                    assert pi in g_set
-                    assert tau_bar in h_bar_set
-                    assert compose(pi, tau_bar) == phi
+    with criterion(5, "orders 1-3 and |G| up to 36: every automorphism factors uniquely"):
+        tables = [t for n in (1, 2, 3) for t in corpus_by_order[n]] + larger_g_tables()
+        for table in tables:
+            psi, t, scheme, sub, sizes = theorem_frame(table)
+            g = psi_class_group(psi)
+            h_bar = embed_h(extendable_automorphisms(sub, sizes), scheme)
+            aut = enumerate_automorphisms(table)
+            # pair counting: the product map is a bijection onto Aut S
+            products = {
+                compose(pi, tb) for pi in g for tb in h_bar
+            }
+            assert len(products) == len(g) * len(h_bar) == len(aut)
+            assert products == set(aut.elements)
+            g_set = set(g.elements)
+            h_bar_set = set(h_bar.elements)
+            for phi in aut:
+                tau, pi = decompose_automorphism(table, phi, psi, t, scheme)
+                tau_bar = extend_automorphism(tau, scheme)
+                assert pi in g_set
+                assert tau_bar in h_bar_set
+                assert compose(pi, tau_bar) == phi
+            assert_verified_against(table, g)
 
 
 def test_criterion_6_normality_and_action(corpus_by_order):
-    with criterion(6, "G is normal and conjugation by H-bar stays in G: fixtures and orders 1-3"):
+    with criterion(6, "G is normal, H-bar conjugates G into G: fixtures, orders 1-3, |G| 36"):
         tables = list(FIXTURES.values()) + [
             t for n in (1, 2, 3) for t in corpus_by_order[n]
-        ]
+        ] + larger_g_tables()
         for table in tables:
             psi, t, scheme, sub, sizes = theorem_frame(table)
             g = psi_class_group(psi)
@@ -179,6 +199,7 @@ def test_criterion_6_normality_and_action(corpus_by_order):
                 tbi = inverse(tb)
                 for pi in g:
                     assert compose(compose(tbi, pi), tb) in g_set
+            assert_verified_against(table, g)
 
 
 def test_criterion_7_inflation_laws(corpus_by_order):

@@ -225,17 +225,6 @@ class TestEnumerate:
     def test_order_cap(self, capsys):
         assert main(["enumerate", "--order", "5"]) == 3
 
-    def test_env_parallelism_invalid(self, monkeypatch, capsys):
-        monkeypatch.setenv("FINSEMI_PARALLELISM", "many")
-        assert main(["enumerate", "--order", "2"]) == 2
-
-    def test_env_parallelism_valid(self, monkeypatch, capsys):
-        monkeypatch.setenv("FINSEMI_PARALLELISM", "4")
-        assert main(["enumerate", "--order", "2"]) == 0
-
-    def test_flag_parallelism_invalid(self, capsys):
-        assert main(["enumerate", "--order", "2", "--parallelism", "0"]) == 2
-
 
 class TestCorpus:
     def test_summary_only(self, capsys):

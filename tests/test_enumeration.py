@@ -26,8 +26,6 @@ class TestEnumerationTask:
     def test_defaults(self):
         task = EnumerationTask(3)
         assert task.mode == "labelled"
-        # unspecified: the runner decides (currently sequential)
-        assert task.parallelism is None
 
     def test_rejects_bad_mode(self):
         with pytest.raises(MalformedInput):
@@ -36,10 +34,6 @@ class TestEnumerationTask:
     def test_rejects_bad_order(self):
         with pytest.raises(MalformedInput):
             EnumerationTask(0)
-
-    def test_rejects_bad_parallelism(self):
-        with pytest.raises(MalformedInput):
-            EnumerationTask(2, parallelism=0)
 
 
 class TestEnumerateSemigroups:
@@ -86,10 +80,6 @@ class TestEnumerateSemigroups:
         gen = enumerate_semigroups(EnumerationTask(5), max_order=5)
         next(gen)
         gen.close()
-
-    def test_parallelism_hint_is_accepted(self, corpus_by_order):
-        tables = list(enumerate_semigroups(EnumerationTask(3, parallelism=4)))
-        assert tables == corpus_by_order[3]
 
 
 class TestUpToIso:

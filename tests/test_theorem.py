@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -33,6 +34,7 @@ from finsemi import (
     restrict_to_subsemigroup,
     verify_theorem,
 )
+from finsemi import theorem
 from finsemi.inflation import POLICIES
 from support import FIXTURES, IL2, L2, N3, N4, S6, Z3
 
@@ -364,6 +366,75 @@ class TestVerifyTheorem:
         assert data["transversal_used"] == [0, 1, 2, 3]
         assert data["witnesses"] == {}
 
+    def test_l2_inflated_to_order_twelve_within_default_caps(self):
+        table, _ = build_inflation(FiberSizeSpec(L2, (6, 6)))
+        start = time.perf_counter()
+        report = verify_theorem(table)
+        elapsed = time.perf_counter() - start
+        assert (report.aut_order, report.g_order, report.h_order) == (28800, 14400, 2)
+        assert report.all_flags
+        assert elapsed < 30.0, f"took {elapsed:.1f}s"
+
     def test_transversal_recorded_matches_policy(self):
         assert verify_theorem(S6, "greatest").transversal_used == (0, 1, 4, 5)
         assert verify_theorem(S6, "least").transversal_used == (0, 1, 2, 3)
+
+
+S6_CLASS_SWAP = Permutation((0, 1, 4, 3, 2, 5))
+
+
+def _only_on_s6(keep):
+    """Wrap the Aut search so that on S6 alone it keeps the elements keep accepts."""
+    search = theorem.enumerate_automorphisms
+
+    def patched(table, **kwargs):
+        group = search(table, **kwargs)
+        if table is not S6:
+            return group
+        return PermGroup(group.degree, [p for p in group if keep(p)])
+
+    return patched
+
+
+class TestVerifyTheoremFlagsFail:
+    """Each flag goes false, with its witness, when one input to it is broken."""
+
+    def check(self, expected_flags, expected_keys):
+        report = verify_theorem(S6)
+        flags = (
+            report.identity_holds,
+            report.g_is_normal,
+            report.intersection_trivial,
+            report.factorization_unique,
+        )
+        assert flags == expected_flags
+        assert tuple(k for k, _ in report.witnesses) == expected_keys
+
+    def test_h_reduced_to_identity(self, monkeypatch):
+        monkeypatch.setattr(
+            theorem,
+            "extendable_automorphisms",
+            lambda sub, sizes, **kw: PermGroup(sub.order, [identity(sub.order)]),
+        )
+        self.check((False, True, True, False), ("factorization", "identity"))
+
+    def test_aut_missing_a_class_fixing_element(self, monkeypatch):
+        monkeypatch.setattr(
+            theorem, "enumerate_automorphisms", _only_on_s6(lambda p: p != S6_CLASS_SWAP)
+        )
+        self.check((False, False, True, False), ("factorization", "g_normal", "identity"))
+
+    def test_h_bar_meets_g(self, monkeypatch):
+        embed = theorem.embed_h
+        monkeypatch.setattr(
+            theorem,
+            "embed_h",
+            lambda h, scheme: PermGroup(6, list(embed(h, scheme)) + [S6_CLASS_SWAP]),
+        )
+        self.check((True, True, False, False), ("factorization", "intersection"))
+
+    def test_aut_reduced_to_the_stabilizer_of_zero(self, monkeypatch):
+        monkeypatch.setattr(
+            theorem, "enumerate_automorphisms", _only_on_s6(lambda p: p.images[0] == 0)
+        )
+        self.check((False, True, True, False), ("factorization", "identity"))
