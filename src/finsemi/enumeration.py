@@ -2,19 +2,23 @@
 
 The generator fills table cells one at a time and abandons a partial table
 as soon as some fully determined associativity triple fails, so only
-semigroups reach the leaves.  Canonical forms take the minimum over all
-relabelings, which is affordable at the orders this tool targets.
+semigroups reach the leaves.  Canonical forms take the minimum over all n!
+relabelings, which is affordable at the orders this tool targets: a plan
+cached per order lists each relabeling's images and, for each row-major
+position, the flat index its entry comes from, and a candidate is dropped
+at the first position where it differs from the least encoding so far.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
 from dataclasses import dataclass
 from typing import IO, Iterator
 
-from .core import CayleyTable, format_table, relabel_table
+from .core import CayleyTable, format_table
 from .errors import MalformedInput, OrderTooLarge
 from .theorem import TheoremReport, verify_theorem
 
@@ -37,45 +41,54 @@ class EnumerationTask:
             raise MalformedInput(f"unknown mode {self.mode!r}, expected one of {MODES}")
 
 
-def _triple_ok(g: list[list[int]], a: int, b: int, c: int) -> bool:
-    """True unless the triple (a, b, c) is fully determined and fails."""
-    x = g[a][b]
-    if x < 0:
-        return True
-    y = g[b][c]
-    if y < 0:
-        return True
-    p = g[x][c]
-    if p < 0:
-        return True
-    q = g[a][y]
-    if q < 0:
-        return True
-    return p == q
-
-
 def _consistent_after(g: list[list[int]], n: int, i: int, j: int) -> bool:
-    """Check every triple whose reads involve cell (i, j).
+    """Check every triple whose reads involve the freshly set cell (i, j).
 
-    A triple (a, b, c) reads (a,b), (b,c), (ab,c) and (a,bc); each family
-    below covers one way the fresh cell can appear among those reads.
+    A triple (a, b, c) reads (a,b), (b,c), (ab,c) and (a,bc) and fails only
+    when all four are set (not -1) and (ab)c != a(bc).  The four loops cover
+    the ways the fresh cell can appear among those reads: as (a,b), as
+    (b,c), as (ab,c) and as (a,bc).
     """
-    for c in range(n):
-        if not _triple_ok(g, i, j, c):
-            return False
-    for a in range(n):
-        if not _triple_ok(g, a, i, j):
-            return False
-    for a in range(n):
-        row = g[a]
-        for b in range(n):
-            if row[b] == i and not _triple_ok(g, a, b, j):
-                return False
-    for b in range(n):
-        row = g[b]
-        for c in range(n):
-            if row[c] == j and not _triple_ok(g, i, b, c):
-                return False
+    gi = g[i]
+    x = gi[j]
+    gx = g[x]
+    gj = g[j]
+    for c in range(n):  # (i, j, c)
+        y = gj[c]
+        if y >= 0:
+            p = gx[c]
+            if p >= 0:
+                q = gi[y]
+                if q >= 0 and p != q:
+                    return False
+    for row in g:  # (a, i, j)
+        u = row[i]
+        if u >= 0:
+            p = g[u][j]
+            if p >= 0:
+                q = row[x]
+                if q >= 0 and p != q:
+                    return False
+    for row in g:  # (a, b, j) with ab = i
+        if i in row:
+            for b in range(n):
+                if row[b] == i:
+                    y = g[b][j]
+                    if y >= 0:
+                        q = row[y]
+                        if q >= 0 and q != x:
+                            return False
+    for b in range(n):  # (i, b, c) with bc = j
+        u = gi[b]
+        if u >= 0:
+            row = g[b]
+            if j in row:
+                gu = g[u]
+                for c in range(n):
+                    if row[c] == j:
+                        p = gu[c]
+                        if p >= 0 and p != x:
+                            return False
     return True
 
 
@@ -118,17 +131,45 @@ def enumerate_semigroups(
             yield table
 
 
+@functools.cache
+def _relabel_plan(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each relabeling sigma of 0..n-1 with the flat source of each target.
+
+    Entry k of the index tuple is inv[i]*n + inv[j] for the row-major
+    position k = i*n + j, inv being sigma's inverse: the relabeled table
+    holds sigma(x) there, x being the entry at that flat index.  The cache
+    keeps n! * n^2 indices per order used: 25920 at the default cap of 6.
+    """
+    plan = []
+    for images in itertools.permutations(range(n)):
+        inv = [0] * n
+        for x, y in enumerate(images):
+            inv[y] = x
+        plan.append((images, tuple(inv[i] * n + inv[j] for i in range(n) for j in range(n))))
+    return tuple(plan)
+
+
 def canonicalize(table: CayleyTable, *, max_order: int = DEFAULT_MAX_CANON_ORDER) -> CayleyTable:
     """Least relabeling of the table, comparing row-major encodings."""
     n = table.order
     if n > max_order:
         raise OrderTooLarge("canonicalization order", n, max_order)
-    best = None
-    for images in itertools.permutations(range(n)):
-        candidate = relabel_table(table, images).rows
-        if best is None or candidate < best:
-            best = candidate
-    return CayleyTable(best)
+    flat = [v for row in table.rows for v in row]
+    best = flat[:]  # the identity relabeling
+    size = n * n
+    # A candidate is read entry by entry and dropped at its first
+    # difference from best; only a smaller one overwrites best from there.
+    for images, src in _relabel_plan(n):
+        for p in range(size):
+            v = images[flat[src[p]]]
+            b = best[p]
+            if v != b:
+                if v < b:
+                    best[p] = v
+                    for q in range(p + 1, size):
+                        best[q] = images[flat[src[q]]]
+                break
+    return CayleyTable([best[k : k + n] for k in range(0, size, n)])
 
 
 @dataclass(frozen=True)

@@ -332,6 +332,7 @@ def verify_theorem(
     factorization_unique = len(aut) == predicted_g * len(h_bar)
     if not factorization_unique:
         witnesses["factorization"] = f"aut {len(aut)} != g {predicted_g} * h-bar {len(h_bar)}"
+    bars: dict[Permutation, Permutation] = {}  # tau -> tau_bar, extended once per tau
     for phi in aut:
         try:
             tau, pi = decompose_automorphism(table, phi, psi, t, scheme)
@@ -339,7 +340,9 @@ def verify_theorem(
             factorization_unique = False
             witnesses.setdefault("factorization", f"decompose failed on {phi.images}: {exc}")
             continue
-        tau_bar = extend_automorphism(tau, scheme)
+        tau_bar = bars.get(tau)
+        if tau_bar is None:
+            tau_bar = bars[tau] = extend_automorphism(tau, scheme)
         if _class_action(pi, psi) != fixed or tau_bar not in h_bar or compose(pi, tau_bar) != phi:
             factorization_unique = False
             witnesses.setdefault("factorization", f"round trip failed on {phi.images}")

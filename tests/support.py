@@ -68,3 +68,21 @@ def naive_semigroup_rows(n: int) -> set[tuple[tuple[int, ...], ...]]:
         if naive_associativity_witness(rows) is None:
             out.add(rows)
     return out
+
+
+def naive_canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Least row-major relabeling over all n! relabelings.
+
+    Relabeling by img sends the product a*b = c to img[a]*img[b] = img[c].
+    """
+    n = len(rows)
+    best = None
+    for img in itertools.permutations(range(n)):
+        out = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                out[img[a]][img[b]] = img[rows[a][b]]
+        candidate = tuple(map(tuple, out))
+        if best is None or candidate < best:
+            best = candidate
+    return best

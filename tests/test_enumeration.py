@@ -19,7 +19,19 @@ from finsemi import (
     parse_table,
     relabel_table,
 )
-from support import N3, naive_semigroup_rows
+from support import N3, naive_canonical_rows, naive_semigroup_rows
+
+
+@pytest.fixture(scope="module")
+def naive_canonical_by_order(corpus_by_order) -> dict[int, list]:
+    """The oracle's canonical form of every labelled table, aligned with corpus_by_order."""
+    return {n: [naive_canonical_rows(t.rows) for t in ts] for n, ts in corpus_by_order.items()}
+
+
+def shuffled_cells(n: int, seed: int) -> list[tuple[int, int]]:
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    random.Random(seed).shuffle(cells)
+    return cells
 
 
 class TestEnumerationTask:
@@ -65,13 +77,16 @@ class TestEnumerateSemigroups:
         assert first == second
 
     def test_cell_order_does_not_change_the_set(self, corpus_by_order):
-        rng = random.Random(43)
-        cells = [(i, j) for i in range(3) for j in range(3)]
-        rng.shuffle(cells)
         shuffled = set(
-            enumerate_semigroups(EnumerationTask(3), cell_order=cells)
+            enumerate_semigroups(EnumerationTask(3), cell_order=shuffled_cells(3, 43))
         )
         assert shuffled == set(corpus_by_order[3])
+
+    def test_cell_order_does_not_change_the_set_at_order_four(self, corpus_by_order):
+        shuffled = set(
+            enumerate_semigroups(EnumerationTask(4), cell_order=shuffled_cells(4, 53))
+        )
+        assert shuffled == set(corpus_by_order[4])
 
     def test_order_bound(self):
         with pytest.raises(OrderTooLarge):
@@ -101,6 +116,11 @@ class TestUpToIso:
         assert len(reps) == 5
         assert {canonicalize(t) for t in corpus_by_order[2]} == set(reps)
 
+    def test_order_four_matches_naive_classes(self, naive_canonical_by_order):
+        reps = list(enumerate_semigroups(EnumerationTask(4, mode="up_to_iso")))
+        assert len(reps) == 188  # OEIS A027851
+        assert {t.rows for t in reps} == set(naive_canonical_by_order[4])
+
 
 class TestCanonicalize:
     def test_idempotent(self, corpus_by_order):
@@ -117,6 +137,21 @@ class TestCanonicalize:
 
     def test_null_three(self):
         assert canonicalize(N3) == N3
+
+    def test_matches_naive_oracle_on_every_semigroup(
+        self, corpus_by_order, naive_canonical_by_order
+    ):
+        for n, tables in corpus_by_order.items():
+            for table, expected in zip(tables, naive_canonical_by_order[n]):
+                assert canonicalize(table).rows == expected
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_naive_oracle_on_random_tables(self, n):
+        # Mostly non-associative; canonicalize never assumes associativity.
+        rng = random.Random(59 + n)
+        for _ in range(12):
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            assert canonicalize(CayleyTable(rows)).rows == naive_canonical_rows(rows)
 
     def test_order_bound(self):
         big = CayleyTable([[0] * 7 for _ in range(7)])
