@@ -4,6 +4,10 @@ Permutations act on the right: x under compose(p, q) is q applied to the
 image under p.  Groups are stored as explicit element sets in lexicographic
 order of image tuples, which is the canonical order everywhere (files,
 reports, comparisons).
+
+The automorphism search colours each id by two invariants every
+automorphism of a magma keeps, membership in the product set and x*x == x,
+and maps ids only onto ids of their own colour.
 """
 
 from __future__ import annotations
@@ -22,6 +26,13 @@ class Permutation:
     """Bijection of 0..n-1, stored as the tuple of images."""
 
     images: tuple[int, ...]
+
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap images known to be a bijection of 0..n-1, skipping validation."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     def __post_init__(self):
         images = tuple(self.images)
@@ -55,14 +66,14 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.degree != q.degree:
         raise MalformedInput(f"degree mismatch: {p.degree} vs {q.degree}")
     qi = q.images
-    return Permutation(tuple(qi[v] for v in p.images))
+    return Permutation._unchecked(tuple([qi[v] for v in p.images]))
 
 
 def inverse(p: Permutation) -> Permutation:
     inv = [0] * p.degree
     for x, y in enumerate(p.images):
         inv[y] = x
-    return Permutation(tuple(inv))
+    return Permutation._unchecked(tuple(inv))
 
 
 class PermGroup:
@@ -138,22 +149,44 @@ def is_automorphism(table: CayleyTable, p: Permutation) -> bool:
     return automorphism_witness(table, p) is None
 
 
-def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:
-    """All automorphisms, by backtracking over images in id order.
+def _colours(table: CayleyTable) -> list[tuple[bool, bool]]:
+    """Per id: (is a product, is idempotent); every automorphism keeps both."""
+    rows = table.rows
+    products = {v for row in rows for v in row}
+    return [(x in products, rows[x][x] == x) for x in range(table.order)]
 
-    A product x*y = z is checked as soon as the images of x, y and z are all
-    assigned, so each triple prunes at the deepest of its three ids.
+
+def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:
+    """All automorphisms, by backtracking over the images of one id at a time.
+
+    Each id tries only the unused ids of its own colour (see _colours).  Ids
+    are assigned cell by cell, smallest colour cell first with ties broken
+    by least id, and in id order within a cell.  A product x*y = z is
+    checked as soon as the images of x, y and z are all assigned, so each
+    triple prunes at the deepest search position of its three ids.
     """
     n = table.order
     if n > max_order:
         raise OrderTooLarge("table order", n, max_order)
     rows = table.rows
-    # bucket[k] holds the triples whose last-assigned id is k
+    by_colour: dict[tuple[bool, bool], list[int]] = {}
+    for x, colour in enumerate(_colours(table)):
+        by_colour.setdefault(colour, []).append(x)
+    # sorted() is stable, so equal-sized cells keep the order of their least ids
+    cells = sorted(by_colour.values(), key=len)
+    order = [x for cell in cells for x in cell]
+    candidates = [cell for cell in cells for _ in cell]
+    position = [0] * n
+    for k, x in enumerate(order):
+        position[x] = k
+    # bucket[k] holds the triples whose deepest id sits at search position k
     bucket: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for x in range(n):
+        row, px = rows[x], position[x]
         for y in range(n):
-            z = rows[x][y]
-            bucket[max(x, y, z)].append((x, y, z))
+            z = row[y]
+            k = max(px, position[y], position[z])
+            bucket[k].append((x, y, z))
 
     img = [-1] * n
     used = [False] * n
@@ -161,22 +194,21 @@ def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_
 
     def assign(k: int) -> None:
         if k == n:
-            found.append(Permutation(tuple(img)))
+            found.append(Permutation._unchecked(tuple(img)))
             return
-        for v in range(n):
+        x = order[k]
+        for v in candidates[k]:
             if used[v]:
                 continue
-            img[k] = v
-            ok = True
-            for x, y, z in bucket[k]:
-                if rows[img[x]][img[y]] != img[z]:
-                    ok = False
+            img[x] = v
+            for a, b, c in bucket[k]:
+                if rows[img[a]][img[b]] != img[c]:
                     break
-            if ok:
+            else:
                 used[v] = True
                 assign(k + 1)
                 used[v] = False
-        img[k] = -1
+        img[x] = -1
 
     assign(0)
     return PermGroup(n, found)

@@ -9,6 +9,7 @@ between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -208,7 +209,9 @@ def _add_io_flags(sub, *, policy=False, max_order=None):
         sub.add_argument("--max-order", type=int, default=max_order, dest="max_order")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="finsemi",
         description="Analyze the inflation structure of finite semigroups.",

@@ -152,7 +152,8 @@ def extend_automorphism(tau: Permutation, scheme: ExtensionScheme) -> Permutatio
             raise NotExtendable(k)
         for pos, x in enumerate(src):
             images[x] = dst[pos]
-    return Permutation(tuple(images))
+    # the listings partition 0..n-1 and tau permutes them, so this is a bijection
+    return Permutation._unchecked(tuple(images))
 
 
 def embed_h(h: PermGroup, scheme: ExtensionScheme) -> PermGroup:
@@ -182,6 +183,14 @@ def decompose_automorphism(
     witness = automorphism_witness(table, phi)
     if witness is not None:
         raise NotAnAutomorphism(witness)
+    tau, _, pi = _split(phi, psi, t, scheme)
+    return tau, pi
+
+
+def _split(
+    phi: Permutation, psi: Partition, t: Transversal, scheme: ExtensionScheme
+) -> tuple[Permutation, Permutation, Permutation]:
+    """Split phi into (tau, tau_bar, pi) without checking that phi is an automorphism."""
     pos_of_block = {psi.block_of[rep]: k for k, rep in enumerate(t.representatives)}
     tau = Permutation(
         tuple(
@@ -191,7 +200,7 @@ def decompose_automorphism(
     )
     tau_bar = extend_automorphism(tau, scheme)
     pi = compose(phi, inverse(tau_bar))
-    return tau, pi
+    return tau, tau_bar, pi
 
 
 @dataclass(frozen=True)
@@ -332,17 +341,14 @@ def verify_theorem(
     factorization_unique = len(aut) == predicted_g * len(h_bar)
     if not factorization_unique:
         witnesses["factorization"] = f"aut {len(aut)} != g {predicted_g} * h-bar {len(h_bar)}"
-    bars: dict[Permutation, Permutation] = {}  # tau -> tau_bar, extended once per tau
+    # aut comes from the search, so each phi is an automorphism by construction
     for phi in aut:
         try:
-            tau, pi = decompose_automorphism(table, phi, psi, t, scheme)
-        except (NotAnAutomorphism, NotExtendable) as exc:
+            _, tau_bar, pi = _split(phi, psi, t, scheme)
+        except NotExtendable as exc:
             factorization_unique = False
             witnesses.setdefault("factorization", f"decompose failed on {phi.images}: {exc}")
             continue
-        tau_bar = bars.get(tau)
-        if tau_bar is None:
-            tau_bar = bars[tau] = extend_automorphism(tau, scheme)
         if _class_action(pi, psi) != fixed or tau_bar not in h_bar or compose(pi, tau_bar) != phi:
             factorization_unique = False
             witnesses.setdefault("factorization", f"round trip failed on {phi.images}")

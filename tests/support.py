@@ -86,3 +86,22 @@ def naive_canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
         if best is None or candidate < best:
             best = candidate
     return best
+
+
+def non_products_first(rows, rng=None) -> CayleyTable:
+    """Relabel so the ids outside the product set come first, then the products.
+
+    Both groups keep their id order, or are shuffled by rng when one is given.
+    """
+    n = len(rows)
+    products = sorted({v for row in rows for v in row})
+    non_products = [x for x in range(n) if x not in products]
+    if rng is not None:
+        rng.shuffle(non_products)
+        rng.shuffle(products)
+    new = {x: i for i, x in enumerate(non_products + products)}
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[new[x]][new[y]] = new[rows[x][y]]
+    return CayleyTable(out)

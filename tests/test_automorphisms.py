@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from finsemi import (
     CayleyTable,
+    FiberSizeSpec,
     MalformedInput,
     OrderTooLarge,
     PermGroup,
     Permutation,
     automorphism_witness,
+    build_inflation,
     compose,
     enumerate_automorphisms,
     identity,
@@ -28,6 +30,7 @@ from support import (
     N4,
     S6,
     naive_automorphism_images,
+    non_products_first,
 )
 
 
@@ -65,6 +68,18 @@ class TestPermutation:
     def test_ordering_is_by_image_tuple(self):
         elems = [Permutation((1, 0, 2)), identity(3), Permutation((2, 1, 0))]
         assert sorted(elems)[0] == identity(3)
+
+    @given(permutations)
+    def test_unchecked_agrees_with_validated(self, p):
+        n = p.degree
+        q = Permutation._unchecked(p.images)
+        assert q == p and hash(q) == hash(p) and not q < p and not p < q
+        assert compose(p, inverse(p)) == identity(n)
+        assert hash(compose(inverse(p), p)) == hash(identity(n))
+        assert {compose(p, inverse(p)), identity(n), q, p} == {identity(n), p}
+        if n > 1:
+            swap = Permutation((1, 0) + tuple(range(2, n)))
+            assert sorted([compose(swap, swap), swap]) == [identity(n), swap]
 
 
 class TestCompose:
@@ -163,6 +178,38 @@ class TestEnumerateAutomorphisms:
                 group = enumerate_automorphisms(table)
                 got = sorted(p.images for p in group.elements)
                 assert got == naive_automorphism_images(table.rows)
+
+    def test_matches_naive_oracle_on_order_four_corpus(self, corpus_by_order):
+        for table in corpus_by_order[4]:
+            group = enumerate_automorphisms(table)
+            got = [p.images for p in group.elements]
+            assert got == naive_automorphism_images(table.rows)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_naive_oracle_on_random_magmas(self, n):
+        # Few distinct rows and few distinct values: colour cells hold
+        # several ids, most tables are not associative, and some ids are
+        # not products.
+        rng = random.Random(4100 + n)
+        for _ in range(12):
+            values = rng.sample(range(n), rng.randint(1, n))
+            pool = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            table = CayleyTable([rng.choice(pool) for _ in range(n)])
+            got = [p.images for p in enumerate_automorphisms(table).elements]
+            assert got == naive_automorphism_images(table.rows)
+
+    def test_matches_naive_oracle_on_inflations_with_non_products_first(self, corpus_by_order):
+        rng = random.Random(4200)
+        bases = corpus_by_order[2] + corpus_by_order[3]
+        for _ in range(16):
+            base = rng.choice(bases)
+            sizes = [1] * base.order
+            for _ in range(rng.randint(1, 7 - base.order)):
+                sizes[rng.randrange(base.order)] += 1
+            inflated, _ = build_inflation(FiberSizeSpec(base, tuple(sizes)))
+            table = non_products_first(inflated.rows, rng)
+            got = [p.images for p in enumerate_automorphisms(table).elements]
+            assert got == naive_automorphism_images(table.rows)
 
     def test_every_element_is_an_automorphism(self, corpus_by_order):
         for table in corpus_by_order[3][::5]:

@@ -36,7 +36,7 @@ from finsemi import (
 )
 from finsemi import theorem
 from finsemi.inflation import POLICIES
-from support import FIXTURES, IL2, L2, N3, N4, S6, Z3
+from support import FIXTURES, IL2, L2, N3, N4, S6, Z3, non_products_first
 
 TWO_NULL = CayleyTable([[0, 0], [0, 0]])
 
@@ -374,6 +374,21 @@ class TestVerifyTheorem:
         assert (report.aut_order, report.g_order, report.h_order) == (28800, 14400, 2)
         assert report.all_flags
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
+
+    def test_semilattice_with_non_products_first_within_default_caps(self):
+        # With the eight non-products first, a search in id order has no
+        # product to prune on until its ninth id: about 40 s for this table.
+        base = CayleyTable([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]])
+        inflated, _ = build_inflation(FiberSizeSpec(base, (2, 3, 3, 4)))
+        table = non_products_first(inflated.rows)
+        assert {v for row in table.rows for v in row} == {8, 9, 10, 11}
+        start = time.perf_counter()
+        report = verify_theorem(table)
+        elapsed = time.perf_counter() - start
+        assert report.all_flags
+        assert report.aut_order == 48
+        assert report.aut_order == report.g_order * report.h_order
+        assert elapsed < 5.0, f"took {elapsed:.1f}s"
 
     def test_transversal_recorded_matches_policy(self):
         assert verify_theorem(S6, "greatest").transversal_used == (0, 1, 4, 5)
