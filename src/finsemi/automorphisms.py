@@ -3,7 +3,7 @@
 Permutations act on the right: x under compose(p, q) is q applied to the
 image under p.  Groups are stored as explicit element sets in lexicographic
 order of image tuples, which is the canonical order everywhere (files,
-reports, comparisons).
+reports, comparisons), and are keyed by those tuples.
 
 The automorphism search colours each id by two invariants every
 automorphism of a magma keeps, membership in the product set and x*x == x,
@@ -77,18 +77,22 @@ def inverse(p: Permutation) -> Permutation:
 
 
 class PermGroup:
-    """Explicit set of permutations of one degree, canonically sorted."""
+    """Explicit set of permutations of one degree, sorted by image tuple.
+
+    Duplicates, sorting and membership all go by the image tuples, so no
+    Permutation is hashed or compared.
+    """
 
     __slots__ = ("degree", "elements", "_members")
 
     def __init__(self, degree: int, elements: Iterable[Permutation], *, validate: bool = False):
-        elems = tuple(sorted(set(elements)))
-        for p in elems:
-            if p.degree != degree:
-                raise MalformedInput(f"degree {p.degree} element in a degree {degree} group")
+        by_images = {p.images: p for p in elements}
+        for images in by_images:
+            if len(images) != degree:
+                raise MalformedInput(f"degree {len(images)} element in a degree {degree} group")
         self.degree = degree
-        self.elements = elems
-        self._members = frozenset(elems)
+        self.elements = tuple(by_images[images] for images in sorted(by_images))
+        self._members = frozenset(by_images)
         if validate:
             problem = group_axiom_witness(self)
             if problem is not None:
@@ -101,7 +105,7 @@ class PermGroup:
         return iter(self.elements)
 
     def __contains__(self, p: object) -> bool:
-        return p in self._members
+        return isinstance(p, Permutation) and p.images in self._members
 
     def __eq__(self, other: object) -> bool:
         return (

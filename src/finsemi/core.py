@@ -37,6 +37,14 @@ class CayleyTable:
         self.order = n
         self.rows = grid
 
+    @classmethod
+    def _unchecked(cls, grid: tuple[tuple[int, ...], ...]) -> "CayleyTable":
+        """Wrap a non-empty square tuple of tuples of ids, skipping validation."""
+        table = object.__new__(cls)
+        table.order = len(grid)
+        table.rows = grid
+        return table
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CayleyTable) and self.rows == other.rows
 

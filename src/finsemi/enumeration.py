@@ -117,7 +117,7 @@ def enumerate_semigroups(
 
     def fill(k: int) -> Iterator[CayleyTable]:
         if k == len(cells):
-            yield CayleyTable([row[:] for row in grid])
+            yield CayleyTable._unchecked(tuple(map(tuple, grid)))
             return
         i, j = cells[k]
         for v in range(n):
@@ -169,7 +169,7 @@ def canonicalize(table: CayleyTable, *, max_order: int = DEFAULT_MAX_CANON_ORDER
                     for q in range(p + 1, size):
                         best[q] = images[flat[src[q]]]
                 break
-    return CayleyTable([best[k : k + n] for k in range(0, size, n)])
+    return CayleyTable._unchecked(tuple(tuple(best[k : k + n]) for k in range(0, size, n)))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ and split every automorphism into a part that fixes each psi class setwise
 (the extendable part).  verify_theorem re-derives the full automorphism
 group independently by backtracking search and checks the decomposition
 by how each automorphism acts on the psi classes, without listing G, and
-the uniqueness of pi * tau_bar by counting |Aut| = |G| * |H-bar|.
+the uniqueness of pi * tau_bar by counting |Aut| = |G| * |H-bar|.  tau_bar
+depends only on that class action, so it is lifted once per action, and
+each automorphism's round trip runs on image tuples.
 """
 
 from __future__ import annotations
@@ -261,18 +263,19 @@ class TheoremReport:
         return "\n".join(lines) + "\n"
 
 
-def _class_action(phi: Permutation, psi: Partition) -> tuple[int, ...] | None:
-    """Entry k is the index of the psi block that phi maps block k onto.
+def _class_action(
+    images: tuple[int, ...], block_of: tuple[int, ...], firsts: list[int]
+) -> tuple[int, ...] | None:
+    """Entry k is the index of the psi block that images map block k onto.
 
-    None when phi splits a class; a bijection that splits none merges none.
+    firsts[k] is the least id of block k.  None when a class is split; a
+    bijection that splits none merges none.
     """
-    action = []
-    for block in psi.blocks:
-        targets = {psi.block_of[phi.images[x]] for x in block}
-        if len(targets) != 1:
-            return None
-        action.extend(targets)
-    return tuple(action)
+    onto = [block_of[v] for v in images]
+    action = tuple([onto[x] for x in firsts])
+    if [action[b] for b in block_of] != onto:
+        return None
+    return action
 
 
 def verify_theorem(
@@ -288,7 +291,11 @@ def verify_theorem(
 
     The automorphism group is enumerated by backtracking, independent of
     the G and H constructions.  G is a predicate, fixing every psi class,
-    never a listed set, and uniqueness follows by counting.  All four flags
+    never a listed set, and uniqueness follows by counting.  Each phi is
+    split as pi * tau_bar and checked (pi fixes every class, tau_bar is in
+    H-bar, the product gives phi back); tau_bar is lifted once per class
+    action and shared by every phi with that action.  A phi that splits a
+    class fails the factorization instead of being split.  All four flags
     are computed even when an earlier one fails.
     """
     n = table.order
@@ -318,6 +325,8 @@ def verify_theorem(
     h = extendable_automorphisms(sub, class_sizes, max_order=max_order)
     scheme = extension_scheme(psi, t)
     h_bar = embed_h(h, scheme)
+    block_of = psi.block_of
+    firsts = [block[0] for block in psi.blocks]
     fixed = tuple(range(len(psi.blocks)))
 
     identity_holds = len(aut) == predicted_g * len(h)
@@ -326,14 +335,17 @@ def verify_theorem(
 
     # phi G phi^-1 is the product of the Sym(phi B), so phi normalizes G
     # exactly when it permutes the classes; |Aut ∩ G| = |G| gives G <= Aut.
-    actions = [_class_action(phi, psi) for phi in aut]
+    actions = [_class_action(phi.images, block_of, firsts) for phi in aut]
     splits, in_g = actions.count(None), actions.count(fixed)
     g_is_normal = splits == 0 and in_g == predicted_g
     if not g_is_normal:
         witnesses["g_normal"] = f"{splits} split a class, {in_g} fix all, g {predicted_g}"
 
-    overlap = [tb for tb in h_bar if tb != identity(n) and _class_action(tb, psi) == fixed]
-    intersection_trivial = identity(n) in h_bar and not overlap
+    ident = identity(n)
+    overlap = [
+        tb for tb in h_bar if tb != ident and _class_action(tb.images, block_of, firsts) == fixed
+    ]
+    intersection_trivial = ident in h_bar and not overlap
     if not intersection_trivial:
         witnesses["intersection"] = f"shared non-identity elements: {len(overlap)}"
 
@@ -341,15 +353,40 @@ def verify_theorem(
     factorization_unique = len(aut) == predicted_g * len(h_bar)
     if not factorization_unique:
         witnesses["factorization"] = f"aut {len(aut)} != g {predicted_g} * h-bar {len(h_bar)}"
+    # tau, and so tau_bar, depends only on phi's class action: each action is
+    # lifted once, to (tau_bar, images of its inverse) or the NotExtendable.
+    pos_of_block = {block_of[rep]: k for k, rep in enumerate(t.representatives)}
+    rep_blocks = [block_of[rep] for rep in t.representatives]
+    blocks_in_order = list(block_of)
+    lifts: dict[tuple[int, ...], tuple[Permutation, tuple[int, ...]] | NotExtendable] = {}
     # aut comes from the search, so each phi is an automorphism by construction
-    for phi in aut:
-        try:
-            _, tau_bar, pi = _split(phi, psi, t, scheme)
-        except NotExtendable as exc:
+    for phi, action in zip(aut, actions):
+        if action is None:
             factorization_unique = False
-            witnesses.setdefault("factorization", f"decompose failed on {phi.images}: {exc}")
+            witnesses.setdefault(
+                "factorization", f"decompose failed on {phi.images}: splits a class"
+            )
             continue
-        if _class_action(pi, psi) != fixed or tau_bar not in h_bar or compose(pi, tau_bar) != phi:
+        if action not in lifts:
+            tau = Permutation(tuple(pos_of_block[action[b]] for b in rep_blocks))
+            try:
+                tau_bar = extend_automorphism(tau, scheme)
+                lifts[action] = (tau_bar, inverse(tau_bar).images)
+            except NotExtendable as exc:
+                lifts[action] = exc
+        lift = lifts[action]
+        if isinstance(lift, NotExtendable):
+            factorization_unique = False
+            witnesses.setdefault("factorization", f"decompose failed on {phi.images}: {lift}")
+            continue
+        tau_bar, tau_bar_inv = lift
+        pi = [tau_bar_inv[v] for v in phi.images]  # phi * inverse(tau_bar)
+        tbi = tau_bar.images
+        if (
+            [block_of[v] for v in pi] != blocks_in_order
+            or tau_bar not in h_bar
+            or tuple([tbi[v] for v in pi]) != phi.images
+        ):
             factorization_unique = False
             witnesses.setdefault("factorization", f"round trip failed on {phi.images}")
 

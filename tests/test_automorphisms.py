@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from finsemi import (
     CayleyTable,
-    FiberSizeSpec,
     MalformedInput,
     OrderTooLarge,
     PermGroup,
     Permutation,
     automorphism_witness,
-    build_inflation,
     compose,
     enumerate_automorphisms,
     identity,
@@ -30,7 +28,6 @@ from support import (
     N4,
     S6,
     naive_automorphism_images,
-    non_products_first,
 )
 
 
@@ -198,16 +195,10 @@ class TestEnumerateAutomorphisms:
             got = [p.images for p in enumerate_automorphisms(table).elements]
             assert got == naive_automorphism_images(table.rows)
 
-    def test_matches_naive_oracle_on_inflations_with_non_products_first(self, corpus_by_order):
-        rng = random.Random(4200)
-        bases = corpus_by_order[2] + corpus_by_order[3]
-        for _ in range(16):
-            base = rng.choice(bases)
-            sizes = [1] * base.order
-            for _ in range(rng.randint(1, 7 - base.order)):
-                sizes[rng.randrange(base.order)] += 1
-            inflated, _ = build_inflation(FiberSizeSpec(base, tuple(sizes)))
-            table = non_products_first(inflated.rows, rng)
+    def test_matches_naive_oracle_on_inflations_with_non_products_first(
+        self, inflations_non_products_first
+    ):
+        for table in inflations_non_products_first:
             got = [p.images for p in enumerate_automorphisms(table).elements]
             assert got == naive_automorphism_images(table.rows)
 
@@ -241,11 +232,41 @@ class TestPermGroup:
         g = PermGroup(3, [identity(3), Permutation((0, 2, 1)), identity(3)])
         assert [p.images for p in g.elements] == [(0, 1, 2), (0, 2, 1)]
 
+    def test_dedups_and_sorts_by_images_whatever_the_constructor(self):
+        rng = random.Random(8)
+        perms = [random_permutation(rng, 5) for _ in range(40)]
+        twins = [Permutation._unchecked(p.images) for p in perms]
+        g = PermGroup(5, perms + twins[::-1])
+        assert [p.images for p in g.elements] == sorted({p.images for p in perms})
+        assert list(g.elements) == sorted(set(perms))
+        assert all(q in g for q in twins)
+
+    def test_equality_and_hash_follow_the_element_set(self):
+        elems = [Permutation((1, 2, 0)), identity(3), Permutation((2, 0, 1))]
+        a = PermGroup(3, elems)
+        b = PermGroup(3, [Permutation._unchecked(p.images) for p in reversed(elems)] + elems)
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((3, tuple(sorted(elems))))
+        assert a != PermGroup(3, elems[:2])
+        assert a != PermGroup(4, [identity(4)])
+        assert a != elems
+
+    def test_rejects_an_element_of_another_degree(self):
+        with pytest.raises(MalformedInput):
+            PermGroup(3, [identity(3), identity(4)])
+
     def test_contains(self):
         g = enumerate_automorphisms(S6)
         assert identity(6) in g
         assert Permutation((1, 0, 3, 2, 5, 4)) in g
         assert Permutation((1, 0, 2, 3, 4, 5)) not in g
+
+    def test_contains_only_permutations(self):
+        g = PermGroup(3, [identity(3)])
+        assert identity(3) in g
+        assert (0, 1, 2) not in g
+        assert [0, 1, 2] not in g
+        assert None not in g
 
     def test_validation_catches_non_group(self):
         with pytest.raises(MalformedInput):

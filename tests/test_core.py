@@ -53,6 +53,26 @@ class TestCayleyTable:
         assert hash(CayleyTable([[0, 0], [1, 1]])) == hash(L2)
         assert CayleyTable([[0, 0], [0, 0]]) != L2
 
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_unchecked_agrees_with_validated(self, grid):
+        checked = CayleyTable(grid)
+        unchecked = CayleyTable._unchecked(tuple(map(tuple, grid)))
+        assert unchecked == checked and checked == unchecked
+        assert hash(unchecked) == hash(checked)
+        assert unchecked.rows == checked.rows
+        assert type(unchecked.rows) is tuple
+        assert all(type(row) is tuple for row in unchecked.rows)
+        assert unchecked.order == checked.order == len(grid)
+        assert {unchecked, checked} == {checked}
+
 
 class TestParseTable:
     def test_order_one(self):

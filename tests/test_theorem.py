@@ -36,7 +36,17 @@ from finsemi import (
 )
 from finsemi import theorem
 from finsemi.inflation import POLICIES
-from support import FIXTURES, IL2, L2, N3, N4, S6, Z3, non_products_first
+from support import (
+    FIXTURES,
+    IL2,
+    L2,
+    N3,
+    N4,
+    S6,
+    Z3,
+    naive_automorphism_images,
+    non_products_first,
+)
 
 TWO_NULL = CayleyTable([[0, 0], [0, 0]])
 
@@ -390,25 +400,40 @@ class TestVerifyTheorem:
         assert report.aut_order == report.g_order * report.h_order
         assert elapsed < 5.0, f"took {elapsed:.1f}s"
 
+    def test_matches_naive_oracle_on_inflations(self, inflations_non_products_first):
+        l2_44, _ = build_inflation(FiberSizeSpec(L2, (4, 4)))
+        for table in inflations_non_products_first + [l2_44]:
+            report = verify_theorem(table)
+            assert report.all_flags, report.witnesses
+            assert report.aut_order == report.g_order * report.h_order
+            assert report.aut_order == len(naive_automorphism_images(table.rows))
+
     def test_transversal_recorded_matches_policy(self):
         assert verify_theorem(S6, "greatest").transversal_used == (0, 1, 4, 5)
         assert verify_theorem(S6, "least").transversal_used == (0, 1, 2, 3)
 
 
 S6_CLASS_SWAP = Permutation((0, 1, 4, 3, 2, 5))
+# swaps 3 and 4, so it sends the class {2, 4} onto neither class
+S6_CLASS_SPLIT = Permutation((0, 1, 2, 4, 3, 5))
 
 
-def _only_on_s6(keep):
-    """Wrap the Aut search so that on S6 alone it keeps the elements keep accepts."""
+def _on_s6(edit):
+    """Wrap the Aut search so that on S6 alone its element list goes through edit."""
     search = theorem.enumerate_automorphisms
 
     def patched(table, **kwargs):
         group = search(table, **kwargs)
         if table is not S6:
             return group
-        return PermGroup(group.degree, [p for p in group if keep(p)])
+        return PermGroup(group.degree, edit(list(group)))
 
     return patched
+
+
+def _only_on_s6(keep):
+    """Wrap the Aut search so that on S6 alone it keeps the elements keep accepts."""
+    return _on_s6(lambda elements: [p for p in elements if keep(p)])
 
 
 class TestVerifyTheoremFlagsFail:
@@ -424,6 +449,7 @@ class TestVerifyTheoremFlagsFail:
         )
         assert flags == expected_flags
         assert tuple(k for k, _ in report.witnesses) == expected_keys
+        return dict(report.witnesses)
 
     def test_h_reduced_to_identity(self, monkeypatch):
         monkeypatch.setattr(
@@ -453,3 +479,21 @@ class TestVerifyTheoremFlagsFail:
             theorem, "enumerate_automorphisms", _only_on_s6(lambda p: p.images[0] == 0)
         )
         self.check((False, True, True, False), ("factorization", "identity"))
+
+    def test_aut_holding_a_class_splitting_map(self, monkeypatch):
+        monkeypatch.setattr(
+            theorem, "enumerate_automorphisms", _on_s6(lambda els: els + [S6_CLASS_SPLIT])
+        )
+        self.check((False, False, True, False), ("factorization", "g_normal", "identity"))
+
+    def test_class_splitting_map_in_place_of_a_class_fixing_one(self, monkeypatch):
+        monkeypatch.setattr(
+            theorem,
+            "enumerate_automorphisms",
+            _on_s6(lambda els: [S6_CLASS_SPLIT if p == S6_CLASS_SWAP else p for p in els]),
+        )
+        witnesses = self.check((True, False, True, False), ("factorization", "g_normal"))
+        assert witnesses["factorization"] == (
+            "decompose failed on (0, 1, 2, 4, 3, 5): splits a class"
+        )
+        assert witnesses["g_normal"] == "1 split a class, 3 fix all, g 4"
