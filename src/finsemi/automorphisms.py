@@ -7,13 +7,17 @@ reports, comparisons), and are keyed by those tuples.
 
 The automorphism search colours each id by two invariants every
 automorphism of a magma keeps, membership in the product set and x*x == x,
-and maps ids only onto ids of their own colour.
+and maps ids only onto ids of their own colour.  enumerate_automorphisms
+lists the whole group; _automorphism_chain, on the same plan, finds only
+a stabilizer chain (base, orbits, Schreier vectors, strong generators),
+which gives |Aut| as the product of the orbit lengths without listing it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import CayleyTable
 from .errors import MalformedInput, OrderTooLarge
@@ -160,21 +164,21 @@ def _colours(table: CayleyTable) -> list[tuple[bool, bool]]:
     return [(x in products, rows[x][x] == x) for x in range(table.order)]
 
 
-def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:
-    """All automorphisms, by backtracking over the images of one id at a time.
+def _plan(
+    table: CayleyTable, colours: list
+) -> tuple[list[int], list[list[int]], list[list[tuple[int, int, int]]]]:
+    """Search order, candidate cell per position, and triple bucket per position.
 
-    Each id tries only the unused ids of its own colour (see _colours).  Ids
-    are assigned cell by cell, smallest colour cell first with ties broken
-    by least id, and in id order within a cell.  A product x*y = z is
-    checked as soon as the images of x, y and z are all assigned, so each
-    triple prunes at the deepest search position of its three ids.
+    Ids are grouped into cells of equal colour, smallest cell first with
+    ties broken by least id, and in id order within a cell; each position
+    tries only the ids of its own cell.  bucket[k] holds the triples
+    (x, y, x*y) whose deepest id sits at search position k, so each product
+    is checked as soon as the images of its three ids are all assigned.
     """
     n = table.order
-    if n > max_order:
-        raise OrderTooLarge("table order", n, max_order)
     rows = table.rows
-    by_colour: dict[tuple[bool, bool], list[int]] = {}
-    for x, colour in enumerate(_colours(table)):
+    by_colour: dict = {}
+    for x, colour in enumerate(colours):
         by_colour.setdefault(colour, []).append(x)
     # sorted() is stable, so equal-sized cells keep the order of their least ids
     cells = sorted(by_colour.values(), key=len)
@@ -183,15 +187,27 @@ def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_
     position = [0] * n
     for k, x in enumerate(order):
         position[x] = k
-    # bucket[k] holds the triples whose deepest id sits at search position k
     bucket: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for x in range(n):
         row, px = rows[x], position[x]
         for y in range(n):
             z = row[y]
-            k = max(px, position[y], position[z])
-            bucket[k].append((x, y, z))
+            bucket[max(px, position[y], position[z])].append((x, y, z))
+    return order, candidates, bucket
 
+
+def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:
+    """All automorphisms, by backtracking over the images of one id at a time.
+
+    Each id tries only the unused ids of its own colour (see _colours), in
+    the search order of _plan, and each product prunes at the deepest
+    search position of its three ids.
+    """
+    n = table.order
+    if n > max_order:
+        raise OrderTooLarge("table order", n, max_order)
+    rows = table.rows
+    order, candidates, bucket = _plan(table, _colours(table))
     img = [-1] * n
     used = [False] * n
     found: list[Permutation] = []
@@ -216,6 +232,144 @@ def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_
 
     assign(0)
     return PermGroup(n, found)
+
+
+def _schreier(
+    n: int, point: int, generators: Sequence[tuple[int, ...]], indices: Iterable[int]
+) -> tuple[list[int | None], list[int]]:
+    """Schreier vector and orbit of point in 0..n-1 under the generators at indices.
+
+    vector[x] is the index of the generator that first reached x, -1 at
+    point itself and None outside the orbit.
+    """
+    vector: list[int | None] = [None] * n
+    vector[point] = -1
+    orbit = [point]
+    gens = [(i, generators[i]) for i in indices]
+    for y in orbit:
+        for i, g in gens:
+            z = g[y]
+            if vector[z] is None:
+                vector[z] = i
+                orbit.append(z)
+    return vector, orbit
+
+
+class _Chain(NamedTuple):
+    """A stabilizer chain of Aut: base, orbits, Schreier vectors, strong generators.
+
+    A generator of level k fixes base[0..k-1] and moves base[k].  orbits[k]
+    is the orbit of base[k] under the generators of level >= k, which
+    generate the pointwise stabilizer of base[0..k-1], and vectors[k] is
+    its Schreier vector (see _schreier).  The base holds every id.
+    """
+
+    base: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...]
+    orbits: tuple[tuple[int, ...], ...]
+    vectors: tuple[tuple[int | None, ...], ...]
+    nodes: int
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(orbit) for orbit in self.orbits)
+
+    def sift(self, images: tuple[int, ...]) -> bool:
+        """True when images is a product of the strong generators.
+
+        At each level the image of the base point is walked back to it along
+        the Schreier vector, dividing by one generator per step.
+        """
+        g = list(images)
+        for b, vector in zip(self.base, self.vectors):
+            while g[b] != b:
+                i = vector[g[b]]
+                if i is None:
+                    return False
+                inv = [0] * len(g)
+                for x, y in enumerate(self.generators[i]):
+                    inv[y] = x
+                g = [inv[v] for v in g]
+        # every id is a base point, so g is now the identity
+        return True
+
+
+def _automorphism_chain(
+    table: CayleyTable,
+    extra: Sequence | None = None,
+    *,
+    max_order: int = DEFAULT_MAX_ORDER,
+    max_nodes: int | None = None,
+) -> _Chain:
+    """Stabilizer chain of Aut(table) by an orbit-pruned backtracking search.
+
+    The base is the search order of _plan; extra, when given, is one more
+    colour per id that the automorphisms must keep.  Level k, deepest
+    first, fixes base[0..k-1] and, for each id v of base[k]'s cell outside
+    the orbit found so far, searches for one automorphism that maps base[k]
+    to v and keeps the first it finds as a strong generator: Sims's
+    stabilizer chain, built by search and pruned by the orbits of the
+    generators already known (compare McKay and Piperno, Practical graph
+    isomorphism II, 2014).  The subtrees tried are disjoint, so the search
+    never visits more nodes than enumerate_automorphisms.  Each visited
+    node counts against max_nodes.
+    """
+    n = table.order
+    if n > max_order:
+        raise OrderTooLarge("table order", n, max_order)
+    colours = _colours(table)
+    if extra is not None:
+        colours = [c + (e,) for c, e in zip(colours, extra)]
+    rows = table.rows
+    order, candidates, bucket = _plan(table, colours)
+    budget = math.inf if max_nodes is None else max_nodes
+    # every id starts fixed; level k frees base[k] before it searches
+    img = list(range(n))
+    used = [True] * n
+    nodes = 0
+
+    def first_leaf(k: int, cands) -> bool:
+        """Assign position k from cands and the rest from their cells; True at a leaf."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise OrderTooLarge("search nodes", nodes, max_nodes)
+        x = order[k]
+        for v in cands:
+            if used[v]:
+                continue
+            img[x] = v
+            for a, b, c in bucket[k]:
+                if rows[img[a]][img[b]] != img[c]:
+                    break
+            else:
+                used[v] = True
+                if k + 1 == n or first_leaf(k + 1, candidates[k + 1]):
+                    return True
+                used[v] = False
+        img[x] = -1
+        return False
+
+    generators: list[tuple[int, ...]] = []
+    orbits: list[tuple[int, ...]] = [()] * n
+    vectors: list[tuple[int | None, ...]] = [()] * n
+    for k in range(n - 1, -1, -1):
+        b = order[k]
+        img[b] = -1
+        used[b] = False
+        vector, orbit = _schreier(n, b, generators, range(len(generators)))
+        for v in candidates[k]:
+            if used[v] or vector[v] is not None:
+                continue
+            if first_leaf(k, (v,)):
+                generators.append(tuple(img))
+                for x in order[k:]:
+                    used[img[x]] = False
+                    img[x] = -1
+                vector, orbit = _schreier(n, b, generators, range(len(generators)))
+        orbits[k] = tuple(orbit)
+        vectors[k] = tuple(vector)
+    return _Chain(tuple(order), tuple(generators), tuple(orbits), tuple(vectors), nodes)
 
 
 @dataclass(frozen=True)

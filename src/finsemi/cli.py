@@ -37,8 +37,8 @@ from .inflation import (
     parse_fiber_spec,
     verify_inflation,
 )
-from .theorem import verify_theorem
-from .automorphisms import DEFAULT_MAX_ORDER, enumerate_automorphisms
+from .theorem import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_SEARCH, verify_theorem
+from .automorphisms import DEFAULT_MAX_ORDER, _automorphism_chain, enumerate_automorphisms
 
 
 def _read_input(path: str) -> str:
@@ -109,6 +109,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_aut(args) -> int:
     table = parse_table(_read_input(args.input))
+    # |Aut| is read from the stabilizer chain before anything is listed
+    order = _automorphism_chain(
+        table, max_order=args.max_order, max_nodes=DEFAULT_MAX_SEARCH
+    ).order
+    if order > DEFAULT_MAX_GROUP_ORDER:
+        raise OrderTooLarge("automorphism group order", order, DEFAULT_MAX_GROUP_ORDER)
     group = enumerate_automorphisms(table, max_order=args.max_order)
     if args.format == "structured":
         print(

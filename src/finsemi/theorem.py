@@ -3,12 +3,13 @@
 The pipeline: compute psi, pick a transversal T, restrict the table to T,
 and split every automorphism into a part that fixes each psi class setwise
 (the class group G) and the canonical extension of an automorphism of T
-(the extendable part).  verify_theorem re-derives the full automorphism
-group independently by backtracking search and checks the decomposition
-by how each automorphism acts on the psi classes, without listing G, and
-the uniqueness of pi * tau_bar by counting |Aut| = |G| * |H-bar|.  tau_bar
-depends only on that class action, so it is lifted once per action, and
-each automorphism's round trip runs on image tuples.
+(the extendable part).  verify_theorem re-derives Aut independently, as a
+stabilizer chain found by search, and H the same way on T, and checks
+Aut = G x| H-bar on their strong generators alone: G is a predicate
+generated by the class transpositions, normality is "every generator
+permutes the classes", and the uniqueness of pi * tau_bar follows by
+counting |Aut| = |G| * |H|.  Nothing is listed, so the work grows with the
+search, not with |Aut|.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .automorphisms import (
+from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused names here
     DEFAULT_MAX_ORDER,
     PermGroup,
     Permutation,
+    _automorphism_chain,
     automorphism_witness,
     compose,
     enumerate_automorphisms,
-    identity,
     inverse,
-    subgroup_checks,  # noqa: F401  unused; bench/tracing.py looks the name up here
+    subgroup_checks,
 )
 from .core import CayleyTable, Partition, compute_h, compute_psi
 from .errors import MalformedInput, NotAnAutomorphism, NotExtendable, OrderTooLarge
@@ -289,14 +290,20 @@ def verify_theorem(
 ) -> TheoremReport:
     """Run the whole pipeline on one table and check every claim.
 
-    The automorphism group is enumerated by backtracking, independent of
-    the G and H constructions.  G is a predicate, fixing every psi class,
-    never a listed set, and uniqueness follows by counting.  Each phi is
-    split as pi * tau_bar and checked (pi fixes every class, tau_bar is in
-    H-bar, the product gives phi back); tau_bar is lifted once per class
-    action and shared by every phi with that action.  A phi that splits a
-    class fails the factorization instead of being split.  All four flags
-    are computed even when an earlier one fails.
+    Aut and H come from stabilizer chains found by search (see
+    _automorphism_chain), independent of the G and H-bar constructions: Aut
+    on the table, H on T with the class sizes as an extra colour.  Every
+    check runs on generators.  G, a predicate (fix every psi class), lies
+    in Aut when each transposition of adjacent ids in a class is an
+    automorphism that sifts through the chain, and is normal when every
+    strong generator permutes the classes.  H-bar lies in Aut when each
+    lifted H generator is an automorphism, and meets G trivially when each
+    is the lift of its own class action.  Each strong generator phi splits
+    as pi * tau_bar, with tau its class action, a size-preserving
+    automorphism of T that sifts through the H chain, and pi fixing every
+    class; uniqueness then follows from |Aut| = |G| * |H|.  max_search
+    bounds the nodes both searches visit together.  All four flags are
+    computed even when an earlier one fails.
     """
     n = table.order
     if n > max_order:
@@ -306,9 +313,6 @@ def verify_theorem(
     if predicted_g > max_group_order:
         raise OrderTooLarge("class group order", predicted_g, max_group_order)
     t = choose_transversal(psi, policy, seed)
-    estimate = predicted_g * math.factorial(len(t.representatives))
-    if estimate > max_search:
-        raise OrderTooLarge("search estimate", estimate, max_search)
 
     witnesses: dict[str, str] = {}
     r = induced_retraction(psi, t)
@@ -321,80 +325,98 @@ def verify_theorem(
 
     sub, old_ids = restrict_to_subsemigroup(table, t.representatives)
     class_sizes = tuple(len(psi.block_containing(rep)) for rep in old_ids)
-    aut = enumerate_automorphisms(table, max_order=max_order)
-    h = extendable_automorphisms(sub, class_sizes, max_order=max_order)
+    aut = _automorphism_chain(table, max_order=max_order, max_nodes=max_search)
+    try:
+        h = _automorphism_chain(
+            sub, class_sizes, max_order=max_order, max_nodes=max_search - aut.nodes
+        )
+    except OrderTooLarge as exc:  # the budget is shared, so report it whole
+        raise OrderTooLarge(exc.what, aut.nodes + exc.requested, max_search) from None
     scheme = extension_scheme(psi, t)
-    h_bar = embed_h(h, scheme)
+    h_bar = embed_h(PermGroup(sub.order, map(Permutation._unchecked, h.generators)), scheme)
     block_of = psi.block_of
     firsts = [block[0] for block in psi.blocks]
-    fixed = tuple(range(len(psi.blocks)))
+    rep_blocks = [block_of[rep] for rep in t.representatives]
+    pos_of_block = {b: k for k, b in enumerate(rep_blocks)}
 
-    identity_holds = len(aut) == predicted_g * len(h)
+    def tau_of(images: tuple[int, ...]) -> Permutation | None:
+        """The class action of images read in transversal positions; None on a split."""
+        action = _class_action(images, block_of, firsts)
+        if action is None:
+            return None
+        return Permutation._unchecked(tuple([pos_of_block[action[b]] for b in rep_blocks]))
+
+    aut_order, h_order = aut.order, h.order
+    identity_holds = aut_order == predicted_g * h_order
     if not identity_holds:
-        witnesses["identity"] = f"aut {len(aut)} != g {predicted_g} * h {len(h)}"
+        witnesses["identity"] = f"aut {aut_order} != g {predicted_g} * h {h_order}"
 
     # phi G phi^-1 is the product of the Sym(phi B), so phi normalizes G
-    # exactly when it permutes the classes; |Aut ∩ G| = |G| gives G <= Aut.
-    actions = [_class_action(phi.images, block_of, firsts) for phi in aut]
-    splits, in_g = actions.count(None), actions.count(fixed)
-    g_is_normal = splits == 0 and in_g == predicted_g
+    # exactly when it permutes the classes; the adjacent transpositions
+    # generate G.
+    taus = [tau_of(phi) for phi in aut.generators]
+    splits = taus.count(None)
+    swaps = []
+    for block in psi.blocks:
+        for x, y in zip(block, block[1:]):
+            images = list(range(n))
+            images[x], images[y] = y, x
+            swaps.append(Permutation._unchecked(tuple(images)))
+    outside = sum(
+        automorphism_witness(table, s) is not None or not aut.sift(s.images) for s in swaps
+    )
+    g_is_normal = splits == 0 and outside == 0
     if not g_is_normal:
-        witnesses["g_normal"] = f"{splits} split a class, {in_g} fix all, g {predicted_g}"
+        witnesses["g_normal"] = (
+            f"{splits} of {len(aut.generators)} generators split a class, "
+            f"{outside} of {len(swaps)} class transpositions outside aut"
+        )
 
-    ident = identity(n)
-    overlap = [
-        tb for tb in h_bar if tb != ident and _class_action(tb.images, block_of, firsts) == fixed
-    ]
-    intersection_trivial = ident in h_bar and not overlap
+    # Lifting is a homomorphism and the class action undoes it on every
+    # generator, so it is one-to-one on H-bar and H-bar meets G in 1 only.
+    # A bijection that permutes the classes keeps their sizes, so every
+    # class action extends.
+    not_lifts = 0
+    for tb in h_bar:
+        tau = tau_of(tb.images)
+        not_lifts += tau is None or extend_automorphism(tau, scheme) != tb
+    intersection_trivial = not_lifts == 0
     if not intersection_trivial:
-        witnesses["intersection"] = f"shared non-identity elements: {len(overlap)}"
+        witnesses["intersection"] = (
+            f"{not_lifts} of {len(h_bar)} h-bar generators are not the lift of their class action"
+        )
 
-    # The round trips make G x H-bar -> Aut onto; equal sizes make it one-to-one.
-    factorization_unique = len(aut) == predicted_g * len(h_bar)
-    if not factorization_unique:
-        witnesses["factorization"] = f"aut {len(aut)} != g {predicted_g} * h-bar {len(h_bar)}"
-    # tau, and so tau_bar, depends only on phi's class action: each action is
-    # lifted once, to (tau_bar, images of its inverse) or the NotExtendable.
-    pos_of_block = {block_of[rep]: k for k, rep in enumerate(t.representatives)}
-    rep_blocks = [block_of[rep] for rep in t.representatives]
-    blocks_in_order = list(block_of)
-    lifts: dict[tuple[int, ...], tuple[Permutation, tuple[int, ...]] | NotExtendable] = {}
-    # aut comes from the search, so each phi is an automorphism by construction
-    for phi, action in zip(aut, actions):
-        if action is None:
+    # H-bar <= Aut and every strong generator in G * H-bar give Aut = G H-bar;
+    # with G and H-bar meeting in 1, |Aut| = |G| * |H| makes each
+    # factorization unique.
+    factorization_unique = intersection_trivial and identity_holds
+    if not identity_holds:
+        witnesses["factorization"] = f"aut {aut_order} != g {predicted_g} * h-bar {h_order}"
+    elif not intersection_trivial:
+        witnesses["factorization"] = "h-bar meets g, so pi * tau_bar is not unique"
+    for tb in h_bar:
+        if automorphism_witness(table, tb) is not None:
             factorization_unique = False
-            witnesses.setdefault(
-                "factorization", f"decompose failed on {phi.images}: splits a class"
-            )
-            continue
-        if action not in lifts:
-            tau = Permutation(tuple(pos_of_block[action[b]] for b in rep_blocks))
-            try:
-                tau_bar = extend_automorphism(tau, scheme)
-                lifts[action] = (tau_bar, inverse(tau_bar).images)
-            except NotExtendable as exc:
-                lifts[action] = exc
-        lift = lifts[action]
-        if isinstance(lift, NotExtendable):
-            factorization_unique = False
-            witnesses.setdefault("factorization", f"decompose failed on {phi.images}: {lift}")
-            continue
-        tau_bar, tau_bar_inv = lift
-        pi = [tau_bar_inv[v] for v in phi.images]  # phi * inverse(tau_bar)
-        tbi = tau_bar.images
-        if (
-            [block_of[v] for v in pi] != blocks_in_order
-            or tau_bar not in h_bar
-            or tuple([tbi[v] for v in pi]) != phi.images
-        ):
-            factorization_unique = False
-            witnesses.setdefault("factorization", f"round trip failed on {phi.images}")
+            witnesses.setdefault("factorization", f"h-bar generator {tb.images} not in aut")
+    for phi, tau in zip(aut.generators, taus):
+        if tau is None:
+            problem = "splits a class"
+        elif automorphism_witness(sub, tau) is not None or not h.sift(tau.images):
+            problem = f"tau {tau.images} is not in h"
+        else:
+            tbi = inverse(extend_automorphism(tau, scheme)).images
+            pi = [tbi[v] for v in phi]  # phi * inverse(tau_bar)
+            if [block_of[v] for v in pi] == list(block_of):
+                continue
+            problem = "pi moves a class"
+        factorization_unique = False
+        witnesses.setdefault("factorization", f"decompose failed on {phi}: {problem}")
 
     return TheoremReport(
         order=n,
         psi_class_sizes=tuple(sorted(len(b) for b in psi.blocks)),
-        aut_order=len(aut),
-        h_order=len(h),
+        aut_order=aut_order,
+        h_order=h_order,
         g_order=predicted_g,
         identity_holds=identity_holds,
         g_is_normal=g_is_normal,

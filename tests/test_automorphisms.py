@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -19,8 +20,10 @@ from finsemi import (
     inverse,
     is_automorphism,
     relabel_table,
+    extendable_automorphisms,
     subgroup_checks,
 )
+from finsemi.automorphisms import _automorphism_chain
 from support import (
     FIXTURES,
     L2,
@@ -225,6 +228,83 @@ class TestEnumerateAutomorphisms:
         group = enumerate_automorphisms(z13, max_order=13)
         # cyclic group of prime order: multiplication by any nonzero residue
         assert len(group.elements) == 12
+
+
+def left_zero(n: int) -> CayleyTable:
+    return CayleyTable([[x] * n for x in range(n)])
+
+
+class TestAutomorphismChain:
+    def test_order_matches_the_listing_on_every_table_of_order_at_most_four(
+        self, corpus_by_order
+    ):
+        for n in (1, 2, 3, 4):
+            for table in corpus_by_order[n]:
+                chain = _automorphism_chain(table)
+                listed = enumerate_automorphisms(table)
+                assert chain.order == len(listed)
+                for g in chain.generators:
+                    assert is_automorphism(table, Permutation(g))
+                assert all(chain.sift(p.images) for p in listed)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_order_matches_naive_oracle_on_random_magmas(self, n):
+        rng = random.Random(4300 + n)
+        for _ in range(12):
+            values = rng.sample(range(n), rng.randint(1, n))
+            pool = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            table = CayleyTable([rng.choice(pool) for _ in range(n)])
+            chain = _automorphism_chain(table)
+            assert chain.order == len(naive_automorphism_images(table.rows))
+            assert all(is_automorphism(table, Permutation(g)) for g in chain.generators)
+
+    def test_order_matches_naive_oracle_on_inflations_with_non_products_first(
+        self, inflations_non_products_first
+    ):
+        for table in inflations_non_products_first:
+            assert _automorphism_chain(table).order == len(naive_automorphism_images(table.rows))
+
+    def test_levels_orbits_and_vectors_agree(self, corpus_by_order):
+        for table in corpus_by_order[4][::7]:
+            chain = _automorphism_chain(table)
+            assert sorted(chain.base) == list(range(table.order))
+            for g in chain.generators:
+                level = next(k for k, b in enumerate(chain.base) if g[b] != b)
+                assert g[chain.base[level]] in chain.orbits[level]
+            for b, orbit, vector in zip(chain.base, chain.orbits, chain.vectors):
+                assert orbit[0] == b and vector[b] == -1
+                assert sorted(orbit) == [x for x, i in enumerate(vector) if i is not None]
+
+    def test_sift_rejects_what_is_not_an_automorphism(self):
+        chain = _automorphism_chain(S6)
+        assert chain.sift((1, 0, 3, 2, 5, 4))
+        assert not chain.sift((0, 1, 3, 2, 4, 5))
+        assert not chain.sift((0, 1, 2, 4, 3, 5))
+
+    def test_extra_colour_keeps_the_class_sizes(self, corpus_by_order):
+        rng = random.Random(43)
+        for table in rng.sample(corpus_by_order[3], 20):
+            sizes = tuple(rng.randint(1, 2) for _ in range(3))
+            assert _automorphism_chain(table, sizes).order == len(
+                extendable_automorphisms(table, sizes)
+            )
+
+    def test_left_zero_semigroups_have_the_symmetric_group(self):
+        for n in range(1, 31):
+            chain = _automorphism_chain(left_zero(n), max_order=30)
+            assert chain.order == math.factorial(n)
+            assert len(chain.generators) == n - 1
+
+    def test_node_budget_counts_visited_nodes(self):
+        nodes = _automorphism_chain(S6).nodes
+        assert _automorphism_chain(S6, max_nodes=nodes).nodes == nodes
+        with pytest.raises(OrderTooLarge) as info:
+            _automorphism_chain(S6, max_nodes=nodes - 1)
+        assert (info.value.what, info.value.limit) == ("search nodes", nodes - 1)
+
+    def test_order_bound(self):
+        with pytest.raises(OrderTooLarge):
+            _automorphism_chain(left_zero(13))
 
 
 class TestPermGroup:

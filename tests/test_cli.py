@@ -16,6 +16,10 @@ N3_TEXT = format_table(N3)
 NON_ASSOC_TEXT = "2\n0 1\n0 0\n"
 
 
+def left_zero_text(n):
+    return f"{n}\n" + "".join(" ".join([str(x)] * n) + "\n" for x in range(n))
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -135,7 +139,27 @@ class TestAut:
         assert "finsemi:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("n,order", [(9, 362880), (12, 479001600)])
+    def test_refuses_a_group_over_the_cap_before_listing(self, tmp_path, capsys, n, order):
+        assert main(["aut", write(tmp_path, f"l{n}", left_zero_text(n))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"finsemi: automorphism group order {order} exceeds the configured limit 100000\n"
+        )
+
+    def test_lists_a_group_under_the_cap(self, tmp_path, capsys):
+        assert main(["aut", write(tmp_path, "l7", left_zero_text(7))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "5040" and len(lines) == 5041
+        assert lines[1] == "p: 0 1 2 3 4 5 6" and lines[-1] == "p: 6 5 4 3 2 1 0"
+
+
 class TestVerifyTheorem:
+    def test_left_zero_of_order_twelve(self, tmp_path, capsys):
+        assert main(["verify-theorem", write(tmp_path, "l12", left_zero_text(12))]) == 0
+        assert "aut_order: 479001600\n" in capsys.readouterr().out
+
     def test_s6_text_output(self, tmp_path, capsys):
         assert main(["verify-theorem", write(tmp_path, "s6", S6_TEXT)]) == 0
         assert capsys.readouterr().out == verify_theorem(S6).to_text()

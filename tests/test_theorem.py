@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsemi import (
     CayleyTable,
+    EnumerationTask,
     FiberSizeSpec,
     MalformedInput,
     NotAnAutomorphism,
@@ -23,6 +27,7 @@ from finsemi import (
     decompose_automorphism,
     embed_h,
     enumerate_automorphisms,
+    enumerate_semigroups,
     extend_automorphism,
     extendable_automorphisms,
     extension_scheme,
@@ -31,10 +36,11 @@ from finsemi import (
     is_automorphism,
     predicted_class_group_order,
     psi_class_group,
+    relabel_table,
     restrict_to_subsemigroup,
     verify_theorem,
 )
-from finsemi import theorem
+from finsemi import automorphisms, theorem
 from finsemi.inflation import POLICIES
 from support import (
     FIXTURES,
@@ -49,6 +55,7 @@ from support import (
 )
 
 TWO_NULL = CayleyTable([[0, 0], [0, 0]])
+SMALL_SEMIGROUPS = [t for n in (1, 2, 3) for t in enumerate_semigroups(EnumerationTask(n))]
 
 
 def s6_frame():
@@ -345,6 +352,35 @@ class TestVerifyTheorem:
         with pytest.raises(OrderTooLarge):
             verify_theorem(S6, max_search=1)
 
+    def test_search_budget_counts_the_nodes_of_both_searches(self):
+        psi, t, _ = s6_frame()
+        sub, old_ids = restrict_to_subsemigroup(S6, t.representatives)
+        sizes = tuple(len(psi.block_containing(x)) for x in old_ids)
+        search = theorem._automorphism_chain
+        nodes = search(S6).nodes + search(sub, sizes).nodes
+        assert verify_theorem(S6, max_search=nodes).all_flags
+        with pytest.raises(OrderTooLarge) as info:
+            verify_theorem(S6, max_search=nodes - 1)
+        assert (info.value.what, info.value.requested, info.value.limit) == (
+            "search nodes",
+            nodes,
+            nodes - 1,
+        )
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_left_zero_within_default_caps_in_under_a_second(self, n):
+        table = CayleyTable([[x] * n for x in range(n)])
+        start = time.perf_counter()
+        report = verify_theorem(table)
+        elapsed = time.perf_counter() - start
+        assert report.all_flags
+        assert (report.aut_order, report.h_order, report.g_order) == (
+            math.factorial(n),
+            math.factorial(n),
+            1,
+        )
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
     def test_group_order_bound(self):
         big_null = CayleyTable([[0] * 10 for _ in range(10)])
         with pytest.raises(OrderTooLarge):
@@ -408,6 +444,26 @@ class TestVerifyTheorem:
             assert report.aut_order == report.g_order * report.h_order
             assert report.aut_order == len(naive_automorphism_images(table.rows))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_inflations_relabelled(self, data):
+        base = data.draw(st.sampled_from(SMALL_SEMIGROUPS))
+        sizes = [1] * base.order
+        for _ in range(data.draw(st.integers(0, 7 - base.order))):
+            sizes[data.draw(st.integers(0, base.order - 1))] += 1
+        inflated, _ = build_inflation(FiberSizeSpec(base, tuple(sizes)))
+        images = data.draw(st.permutations(range(inflated.order)))
+        table = relabel_table(inflated, images)
+        report = verify_theorem(table)
+        assert report.all_flags, report.witnesses
+        psi = compute_psi(table)
+        naive = naive_automorphism_images(table.rows)
+        class_fixing = [p for p in naive if all(psi.related(x, p[x]) for x in range(table.order))]
+        assert report.g_order == len(class_fixing) == math.prod(
+            math.factorial(len(b)) for b in psi.blocks
+        )
+        assert report.aut_order == len(naive)
+
     def test_transversal_recorded_matches_policy(self):
         assert verify_theorem(S6, "greatest").transversal_used == (0, 1, 4, 5)
         assert verify_theorem(S6, "least").transversal_used == (0, 1, 2, 3)
@@ -418,26 +474,64 @@ S6_CLASS_SWAP = Permutation((0, 1, 4, 3, 2, 5))
 S6_CLASS_SPLIT = Permutation((0, 1, 2, 4, 3, 5))
 
 
-def _on_s6(edit):
-    """Wrap the Aut search so that on S6 alone its element list goes through edit."""
-    search = theorem.enumerate_automorphisms
+def _regrow(chain, generators):
+    """The chain on the same base, its orbits and Schreier vectors regrown from generators."""
+    base, n = chain.base, len(chain.base)
+    levels = [next(k for k, b in enumerate(base) if g[b] != b) for g in generators]
+    grown = [
+        automorphisms._schreier(n, b, generators, [i for i, lv in enumerate(levels) if lv >= k])
+        for k, b in enumerate(base)
+    ]
+    return chain._replace(
+        generators=tuple(generators),
+        vectors=tuple(tuple(vector) for vector, _ in grown),
+        orbits=tuple(tuple(orbit) for _, orbit in grown),
+    )
 
-    def patched(table, **kwargs):
-        group = search(table, **kwargs)
-        if table is not S6:
-            return group
-        return PermGroup(group.degree, edit(list(group)))
+
+def _on_s6(edit, *, h=False):
+    """Wrap the chain search so that S6's Aut chain, or with h its H chain, goes through edit."""
+    search = theorem._automorphism_chain
+
+    def patched(table, extra=None, **kwargs):
+        chain = search(table, extra, **kwargs)
+        hit = extra is not None if h else table is S6
+        return edit(chain) if hit else chain
 
     return patched
 
 
-def _only_on_s6(keep):
-    """Wrap the Aut search so that on S6 alone it keeps the elements keep accepts."""
-    return _on_s6(lambda elements: [p for p in elements if keep(p)])
+def _without_class_swap(chain):
+    assert S6_CLASS_SWAP.images in chain.generators
+    return _regrow(chain, [g for g in chain.generators if g != S6_CLASS_SWAP.images])
+
+
+def _first_orbit_cut_to_its_base_point(chain):
+    vector = list(chain.vectors[0])
+    for x in chain.orbits[0][1:]:
+        vector[x] = None
+    return chain._replace(
+        orbits=(chain.orbits[0][:1],) + chain.orbits[1:],
+        vectors=(tuple(vector),) + chain.vectors[1:],
+    )
+
+
+def _split_in_place_of_class_swap(chain):
+    # orbits and Schreier vectors stay as the search left them
+    assert S6_CLASS_SWAP.images in chain.generators
+    return chain._replace(
+        generators=tuple(
+            S6_CLASS_SPLIT.images if g == S6_CLASS_SWAP.images else g for g in chain.generators
+        ),
+    )
 
 
 class TestVerifyTheoremFlagsFail:
-    """Each flag goes false, with its witness, when one input to it is broken."""
+    """Each flag goes false, with its witness, when one input to it is broken.
+
+    The faults go in at the stabilizer chains that verify_theorem reads and
+    at the lifted H generators.
+    """
 
     def check(self, expected_flags, expected_keys):
         report = verify_theorem(S6)
@@ -451,49 +545,62 @@ class TestVerifyTheoremFlagsFail:
         assert tuple(k for k, _ in report.witnesses) == expected_keys
         return dict(report.witnesses)
 
+    def test_s6_chain_holds_the_generators_the_faults_edit(self):
+        chain = theorem._automorphism_chain(S6)
+        assert S6_CLASS_SWAP.images in chain.generators
+        assert chain.base[0] == 0 and chain.orbits[0] == (0, 1)
+        assert chain.order == 8
+
     def test_h_reduced_to_identity(self, monkeypatch):
+        # every H generator dropped
         monkeypatch.setattr(
-            theorem,
-            "extendable_automorphisms",
-            lambda sub, sizes, **kw: PermGroup(sub.order, [identity(sub.order)]),
+            theorem, "_automorphism_chain", _on_s6(lambda c: _regrow(c, []), h=True)
         )
-        self.check((False, True, True, False), ("factorization", "identity"))
+        witnesses = self.check((False, True, True, False), ("factorization", "identity"))
+        assert witnesses["identity"] == "aut 8 != g 4 * h 1"
 
     def test_aut_missing_a_class_fixing_element(self, monkeypatch):
-        monkeypatch.setattr(
-            theorem, "enumerate_automorphisms", _only_on_s6(lambda p: p != S6_CLASS_SWAP)
+        monkeypatch.setattr(theorem, "_automorphism_chain", _on_s6(_without_class_swap))
+        witnesses = self.check(
+            (False, False, True, False), ("factorization", "g_normal", "identity")
         )
-        self.check((False, False, True, False), ("factorization", "g_normal", "identity"))
+        assert witnesses["g_normal"] == (
+            "0 of 2 generators split a class, 1 of 2 class transpositions outside aut"
+        )
 
     def test_h_bar_meets_g(self, monkeypatch):
+        # the class swap added to the lifted H generators
         embed = theorem.embed_h
         monkeypatch.setattr(
             theorem,
             "embed_h",
             lambda h, scheme: PermGroup(6, list(embed(h, scheme)) + [S6_CLASS_SWAP]),
         )
-        self.check((True, True, False, False), ("factorization", "intersection"))
+        witnesses = self.check((True, True, False, False), ("factorization", "intersection"))
+        assert witnesses["intersection"] == (
+            "1 of 2 h-bar generators are not the lift of their class action"
+        )
 
     def test_aut_reduced_to_the_stabilizer_of_zero(self, monkeypatch):
         monkeypatch.setattr(
-            theorem, "enumerate_automorphisms", _only_on_s6(lambda p: p.images[0] == 0)
+            theorem, "_automorphism_chain", _on_s6(_first_orbit_cut_to_its_base_point)
         )
         self.check((False, True, True, False), ("factorization", "identity"))
 
     def test_aut_holding_a_class_splitting_map(self, monkeypatch):
         monkeypatch.setattr(
-            theorem, "enumerate_automorphisms", _on_s6(lambda els: els + [S6_CLASS_SPLIT])
+            theorem,
+            "_automorphism_chain",
+            _on_s6(lambda c: _regrow(c, list(c.generators) + [S6_CLASS_SPLIT.images])),
         )
         self.check((False, False, True, False), ("factorization", "g_normal", "identity"))
 
     def test_class_splitting_map_in_place_of_a_class_fixing_one(self, monkeypatch):
-        monkeypatch.setattr(
-            theorem,
-            "enumerate_automorphisms",
-            _on_s6(lambda els: [S6_CLASS_SPLIT if p == S6_CLASS_SWAP else p for p in els]),
-        )
+        monkeypatch.setattr(theorem, "_automorphism_chain", _on_s6(_split_in_place_of_class_swap))
         witnesses = self.check((True, False, True, False), ("factorization", "g_normal"))
         assert witnesses["factorization"] == (
             "decompose failed on (0, 1, 2, 4, 3, 5): splits a class"
         )
-        assert witnesses["g_normal"] == "1 split a class, 3 fix all, g 4"
+        assert witnesses["g_normal"] == (
+            "1 of 3 generators split a class, 1 of 2 class transpositions outside aut"
+        )
