@@ -5,12 +5,12 @@ image under p.  Groups are stored as explicit element sets in lexicographic
 order of image tuples, which is the canonical order everywhere (files,
 reports, comparisons), and are keyed by those tuples.
 
-The automorphism search colours each id by two invariants every
-automorphism of a magma keeps, membership in the product set and x*x == x,
-and maps ids only onto ids of their own colour.  enumerate_automorphisms
-lists the whole group; _automorphism_chain, on the same plan, finds only
-a stabilizer chain (base, orbits, Schreier vectors, strong generators),
-which gives |Aut| as the product of the orbit lengths without listing it.
+There is one automorphism search, _automorphism_chain.  It colours each id
+by two invariants every automorphism of a magma keeps, membership in the
+product set and x*x == x, maps ids only onto ids of their own colour, and
+finds a stabilizer chain (base, orbits, Schreier vectors, strong
+generators).  The chain gives |Aut| as the product of the orbit lengths;
+enumerate_automorphisms lists the group by expanding the chain.
 """
 
 from __future__ import annotations
@@ -169,9 +169,10 @@ def _plan(
 ) -> tuple[list[int], list[list[int]], list[list[tuple[int, int, int]]]]:
     """Search order, candidate cell per position, and triple bucket per position.
 
-    Ids are grouped into cells of equal colour, smallest cell first with
-    ties broken by least id, and in id order within a cell; each position
-    tries only the ids of its own cell.  bucket[k] holds the triples
+    This is the set-up of _automorphism_chain.  Ids are grouped into cells
+    of equal colour, smallest cell first with ties broken by least id, and
+    in id order within a cell; each position tries only the ids of its own
+    cell.  bucket[k] holds the triples
     (x, y, x*y) whose deepest id sits at search position k, so each product
     is checked as soon as the images of its three ids are all assigned.
     """
@@ -194,44 +195,6 @@ def _plan(
             z = row[y]
             bucket[max(px, position[y], position[z])].append((x, y, z))
     return order, candidates, bucket
-
-
-def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:
-    """All automorphisms, by backtracking over the images of one id at a time.
-
-    Each id tries only the unused ids of its own colour (see _colours), in
-    the search order of _plan, and each product prunes at the deepest
-    search position of its three ids.
-    """
-    n = table.order
-    if n > max_order:
-        raise OrderTooLarge("table order", n, max_order)
-    rows = table.rows
-    order, candidates, bucket = _plan(table, _colours(table))
-    img = [-1] * n
-    used = [False] * n
-    found: list[Permutation] = []
-
-    def assign(k: int) -> None:
-        if k == n:
-            found.append(Permutation._unchecked(tuple(img)))
-            return
-        x = order[k]
-        for v in candidates[k]:
-            if used[v]:
-                continue
-            img[x] = v
-            for a, b, c in bucket[k]:
-                if rows[img[a]][img[b]] != img[c]:
-                    break
-            else:
-                used[v] = True
-                assign(k + 1)
-                used[v] = False
-        img[x] = -1
-
-    assign(0)
-    return PermGroup(n, found)
 
 
 def _schreier(
@@ -293,6 +256,25 @@ class _Chain(NamedTuple):
         # every id is a base point, so g is now the identity
         return True
 
+    def elements(self) -> list[Permutation]:
+        """Every element of the group, expanded from the Schreier vectors.
+
+        The coset representative of orbit point z at level k is that of the
+        point z was reached from, g.index(z) for the generator g at
+        vectors[k][z], followed by g.  The stabilizer of base[0..k-1] is the
+        stabilizer of base[0..k] followed by each representative of level k,
+        so the group is built from the identity, deepest level first.
+        """
+        n = len(self.base)
+        group = [tuple(range(n))]
+        for orbit, vector in zip(reversed(self.orbits), reversed(self.vectors)):
+            reps = {orbit[0]: tuple(range(n))}
+            for z in orbit[1:]:
+                g = self.generators[vector[z]]
+                reps[z] = tuple([g[v] for v in reps[g.index(z)]])
+            group = [tuple([t[v] for v in h]) for h in group for t in reps.values()]
+        return [Permutation._unchecked(images) for images in group]
+
 
 def _automorphism_chain(
     table: CayleyTable,
@@ -311,8 +293,8 @@ def _automorphism_chain(
     stabilizer chain, built by search and pruned by the orbits of the
     generators already known (compare McKay and Piperno, Practical graph
     isomorphism II, 2014).  The subtrees tried are disjoint, so the search
-    never visits more nodes than enumerate_automorphisms.  Each visited
-    node counts against max_nodes.
+    never visits more nodes than a backtracking search that lists every
+    automorphism.  Each visited node counts against max_nodes.
     """
     n = table.order
     if n > max_order:
@@ -370,6 +352,11 @@ def _automorphism_chain(
         orbits[k] = tuple(orbit)
         vectors[k] = tuple(vector)
     return _Chain(tuple(order), tuple(generators), tuple(orbits), tuple(vectors), nodes)
+
+
+def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:
+    """All automorphisms, expanded from the stabilizer chain (see _Chain.elements)."""
+    return PermGroup(table.order, _automorphism_chain(table, max_order=max_order).elements())
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,12 @@ from .inflation import (
     verify_inflation,
 )
 from .theorem import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_SEARCH, verify_theorem
-from .automorphisms import DEFAULT_MAX_ORDER, _automorphism_chain, enumerate_automorphisms
+from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused names here
+    DEFAULT_MAX_ORDER,
+    PermGroup,
+    _automorphism_chain,
+    enumerate_automorphisms,
+)
 
 
 def _read_input(path: str) -> str:
@@ -110,12 +115,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_aut(args) -> int:
     table = parse_table(_read_input(args.input))
     # |Aut| is read from the stabilizer chain before anything is listed
-    order = _automorphism_chain(
-        table, max_order=args.max_order, max_nodes=DEFAULT_MAX_SEARCH
-    ).order
-    if order > DEFAULT_MAX_GROUP_ORDER:
-        raise OrderTooLarge("automorphism group order", order, DEFAULT_MAX_GROUP_ORDER)
-    group = enumerate_automorphisms(table, max_order=args.max_order)
+    chain = _automorphism_chain(table, max_order=args.max_order, max_nodes=DEFAULT_MAX_SEARCH)
+    if chain.order > DEFAULT_MAX_GROUP_ORDER:
+        raise OrderTooLarge("automorphism group order", chain.order, DEFAULT_MAX_GROUP_ORDER)
+    group = PermGroup(table.order, chain.elements())
     if args.format == "structured":
         print(
             json.dumps(

@@ -129,17 +129,13 @@ def extendable_automorphisms(
     """Automorphisms of the transversal table preserving the class sizes.
 
     class_sizes[k] is the size of the psi class whose representative got
-    the dense id k.  Only these can extend to the full table.
+    the dense id k.  Only these can extend to the full table.  The sizes
+    are an extra colour of the search, as in verify_theorem.
     """
     if len(class_sizes) != t_table.order:
         raise MalformedInput("one class size per transversal id required")
-    aut = enumerate_automorphisms(t_table, max_order=max_order)
-    kept = [
-        tau
-        for tau in aut
-        if all(class_sizes[k] == class_sizes[tau.images[k]] for k in range(t_table.order))
-    ]
-    return PermGroup(t_table.order, kept)
+    chain = _automorphism_chain(t_table, class_sizes, max_order=max_order)
+    return PermGroup(t_table.order, chain.elements())
 
 
 def extend_automorphism(tau: Permutation, scheme: ExtensionScheme) -> Permutation:
@@ -186,24 +182,12 @@ def decompose_automorphism(
     witness = automorphism_witness(table, phi)
     if witness is not None:
         raise NotAnAutomorphism(witness)
-    tau, _, pi = _split(phi, psi, t, scheme)
-    return tau, pi
-
-
-def _split(
-    phi: Permutation, psi: Partition, t: Transversal, scheme: ExtensionScheme
-) -> tuple[Permutation, Permutation, Permutation]:
-    """Split phi into (tau, tau_bar, pi) without checking that phi is an automorphism."""
     pos_of_block = {psi.block_of[rep]: k for k, rep in enumerate(t.representatives)}
     tau = Permutation(
-        tuple(
-            pos_of_block[psi.block_of[phi.images[rep]]]
-            for rep in t.representatives
-        )
+        tuple(pos_of_block[psi.block_of[phi.images[rep]]] for rep in t.representatives)
     )
-    tau_bar = extend_automorphism(tau, scheme)
-    pi = compose(phi, inverse(tau_bar))
-    return tau, tau_bar, pi
+    pi = compose(phi, inverse(extend_automorphism(tau, scheme)))
+    return tau, pi
 
 
 @dataclass(frozen=True)

@@ -241,11 +241,12 @@ class TestAutomorphismChain:
         for n in (1, 2, 3, 4):
             for table in corpus_by_order[n]:
                 chain = _automorphism_chain(table)
-                listed = enumerate_automorphisms(table)
-                assert chain.order == len(listed)
+                naive = naive_automorphism_images(table.rows)
+                assert sorted(p.images for p in chain.elements()) == naive
+                assert chain.order == len(naive)
                 for g in chain.generators:
                     assert is_automorphism(table, Permutation(g))
-                assert all(chain.sift(p.images) for p in listed)
+                assert all(chain.sift(images) for images in naive)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_order_matches_naive_oracle_on_random_magmas(self, n):
@@ -285,15 +286,23 @@ class TestAutomorphismChain:
         rng = random.Random(43)
         for table in rng.sample(corpus_by_order[3], 20):
             sizes = tuple(rng.randint(1, 2) for _ in range(3))
-            assert _automorphism_chain(table, sizes).order == len(
-                extendable_automorphisms(table, sizes)
-            )
+            keeping = [
+                images
+                for images in naive_automorphism_images(table.rows)
+                if all(sizes[k] == sizes[images[k]] for k in range(3))
+            ]
+            chain = _automorphism_chain(table, sizes)
+            assert chain.order == len(keeping)
+            assert sorted(p.images for p in chain.elements()) == keeping
+            assert [p.images for p in extendable_automorphisms(table, sizes)] == keeping
 
     def test_left_zero_semigroups_have_the_symmetric_group(self):
         for n in range(1, 31):
             chain = _automorphism_chain(left_zero(n), max_order=30)
             assert chain.order == math.factorial(n)
             assert len(chain.generators) == n - 1
+            if n <= 8:
+                assert len(set(chain.elements())) == chain.order
 
     def test_node_budget_counts_visited_nodes(self):
         nodes = _automorphism_chain(S6).nodes
