@@ -10,7 +10,9 @@ by two invariants every automorphism of a magma keeps, membership in the
 product set and x*x == x, maps ids only onto ids of their own colour, and
 finds a stabilizer chain (base, orbits, Schreier vectors, strong
 generators).  The chain gives |Aut| as the product of the orbit lengths;
-enumerate_automorphisms lists the group by expanding the chain.
+enumerate_automorphisms lists the group by expanding the chain.  Every
+search stops after max_nodes nodes, and _Chain.elements, the only listing,
+refuses more than DEFAULT_MAX_GROUP_ORDER elements before it builds any.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .core import CayleyTable
 from .errors import MalformedInput, OrderTooLarge
 
 DEFAULT_MAX_ORDER = 12
+DEFAULT_MAX_GROUP_ORDER = 10**5
+DEFAULT_MAX_SEARCH = 10**8
 
 
 @dataclass(frozen=True, order=True)
@@ -198,9 +202,9 @@ def _plan(
 
 
 def _schreier(
-    n: int, point: int, generators: Sequence[tuple[int, ...]], indices: Iterable[int]
+    n: int, point: int, generators: Sequence[tuple[int, ...]]
 ) -> tuple[list[int | None], list[int]]:
-    """Schreier vector and orbit of point in 0..n-1 under the generators at indices.
+    """Schreier vector and orbit of point in 0..n-1 under the generators.
 
     vector[x] is the index of the generator that first reached x, -1 at
     point itself and None outside the orbit.
@@ -208,9 +212,8 @@ def _schreier(
     vector: list[int | None] = [None] * n
     vector[point] = -1
     orbit = [point]
-    gens = [(i, generators[i]) for i in indices]
     for y in orbit:
-        for i, g in gens:
+        for i, g in enumerate(generators):
             z = g[y]
             if vector[z] is None:
                 vector[z] = i
@@ -265,6 +268,8 @@ class _Chain(NamedTuple):
         stabilizer of base[0..k] followed by each representative of level k,
         so the group is built from the identity, deepest level first.
         """
+        if self.order > DEFAULT_MAX_GROUP_ORDER:
+            raise OrderTooLarge("automorphism group order", self.order, DEFAULT_MAX_GROUP_ORDER)
         n = len(self.base)
         group = [tuple(range(n))]
         for orbit, vector in zip(reversed(self.orbits), reversed(self.vectors)):
@@ -281,7 +286,7 @@ def _automorphism_chain(
     extra: Sequence | None = None,
     *,
     max_order: int = DEFAULT_MAX_ORDER,
-    max_nodes: int | None = None,
+    max_nodes: int = DEFAULT_MAX_SEARCH,
 ) -> _Chain:
     """Stabilizer chain of Aut(table) by an orbit-pruned backtracking search.
 
@@ -304,7 +309,6 @@ def _automorphism_chain(
         colours = [c + (e,) for c, e in zip(colours, extra)]
     rows = table.rows
     order, candidates, bucket = _plan(table, colours)
-    budget = math.inf if max_nodes is None else max_nodes
     # every id starts fixed; level k frees base[k] before it searches
     img = list(range(n))
     used = [True] * n
@@ -314,7 +318,7 @@ def _automorphism_chain(
         """Assign position k from cands and the rest from their cells; True at a leaf."""
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
+        if nodes > max_nodes:
             raise OrderTooLarge("search nodes", nodes, max_nodes)
         x = order[k]
         for v in cands:
@@ -339,7 +343,7 @@ def _automorphism_chain(
         b = order[k]
         img[b] = -1
         used[b] = False
-        vector, orbit = _schreier(n, b, generators, range(len(generators)))
+        vector, orbit = _schreier(n, b, generators)
         for v in candidates[k]:
             if used[v] or vector[v] is not None:
                 continue
@@ -348,14 +352,17 @@ def _automorphism_chain(
                 for x in order[k:]:
                     used[img[x]] = False
                     img[x] = -1
-                vector, orbit = _schreier(n, b, generators, range(len(generators)))
+                vector, orbit = _schreier(n, b, generators)
         orbits[k] = tuple(orbit)
         vectors[k] = tuple(vector)
     return _Chain(tuple(order), tuple(generators), tuple(orbits), tuple(vectors), nodes)
 
 
 def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:
-    """All automorphisms, expanded from the stabilizer chain (see _Chain.elements)."""
+    """All automorphisms, expanded from the stabilizer chain (see _Chain.elements).
+
+    OrderTooLarge past DEFAULT_MAX_SEARCH search nodes or DEFAULT_MAX_GROUP_ORDER elements.
+    """
     return PermGroup(table.order, _automorphism_chain(table, max_order=max_order).elements())
 
 

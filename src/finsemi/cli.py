@@ -9,6 +9,7 @@ between runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -25,6 +26,7 @@ from .core import (
 from .enumeration import (
     DEFAULT_MAX_ENUM_ORDER,
     EnumerationTask,
+    check_enumeration_order,
     corpus_verify,
     enumerate_semigroups,
 )
@@ -37,13 +39,8 @@ from .inflation import (
     parse_fiber_spec,
     verify_inflation,
 )
-from .theorem import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_SEARCH, verify_theorem
-from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused names here
-    DEFAULT_MAX_ORDER,
-    PermGroup,
-    _automorphism_chain,
-    enumerate_automorphisms,
-)
+from .theorem import verify_theorem
+from .automorphisms import DEFAULT_MAX_ORDER, enumerate_automorphisms
 
 
 def _read_input(path: str) -> str:
@@ -114,11 +111,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_aut(args) -> int:
     table = parse_table(_read_input(args.input))
-    # |Aut| is read from the stabilizer chain before anything is listed
-    chain = _automorphism_chain(table, max_order=args.max_order, max_nodes=DEFAULT_MAX_SEARCH)
-    if chain.order > DEFAULT_MAX_GROUP_ORDER:
-        raise OrderTooLarge("automorphism group order", chain.order, DEFAULT_MAX_GROUP_ORDER)
-    group = PermGroup(table.order, chain.elements())
+    group = enumerate_automorphisms(table, max_order=args.max_order)
     if args.format == "structured":
         print(
             json.dumps(
@@ -181,22 +174,19 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_corpus(args) -> int:
     task = EnumerationTask(args.order, args.mode.replace("-", "_"))
+    # before the report file is opened, which would empty it
+    check_enumeration_order(task, args.max_order)
+    summary_out = sys.stderr if args.report == "-" else sys.stdout
     if args.report == "-":
-        sink = sys.stdout
-        summary_out = sys.stderr
+        sink = contextlib.nullcontext(sys.stdout)
     elif args.report is None:
-        sink = io.StringIO()  # reports discarded unless asked for
-        summary_out = sys.stdout
+        sink = contextlib.nullcontext(io.StringIO())  # reports discarded unless asked for
     else:
         sink = open(args.report, "w", encoding="ascii")
-        summary_out = sys.stdout
-    try:
+    with sink as out:
         summary = corpus_verify(
-            task, sink, policy=args.policy, seed=args.seed, max_order=args.max_order
+            task, out, policy=args.policy, seed=args.seed, max_order=args.max_order
         )
-    finally:
-        if args.report not in (None, "-"):
-            sink.close()
     if args.format == "structured":
         print(json.dumps(summary.to_json_dict()), file=summary_out)
     else:

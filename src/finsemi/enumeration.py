@@ -92,6 +92,12 @@ def _consistent_after(g: list[list[int]], n: int, i: int, j: int) -> bool:
     return True
 
 
+def check_enumeration_order(task: EnumerationTask, max_order: int = DEFAULT_MAX_ENUM_ORDER):
+    """Raise OrderTooLarge when the task's order is over the enumeration cap."""
+    if task.order > max_order:
+        raise OrderTooLarge("enumeration order", task.order, max_order)
+
+
 def enumerate_semigroups(
     task: EnumerationTask,
     *,
@@ -104,9 +110,8 @@ def enumerate_semigroups(
     labelled stream is lexicographic and identical between runs.  cell_order
     exists to cross-check the search with a different fill sequence.
     """
+    check_enumeration_order(task, max_order)
     n = task.order
-    if n > max_order:
-        raise OrderTooLarge("enumeration order", n, max_order)
     if cell_order is None:
         cells = [(i, j) for i in range(n) for j in range(n)]
     else:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 import random
 
@@ -221,6 +222,20 @@ class TestEnumerateAutomorphisms:
             }
             assert conj == set(enumerate_automorphisms(relabeled).elements)
 
+    @pytest.mark.parametrize(
+        "lister",
+        [enumerate_automorphisms, lambda t: extendable_automorphisms(t, [1] * t.order)],
+        ids=["enumerate_automorphisms", "extendable_automorphisms"],
+    )
+    def test_refuses_a_group_over_the_cap_before_listing(self, lister):
+        with pytest.raises(OrderTooLarge) as info:
+            lister(left_zero(9))
+        assert (info.value.what, info.value.requested, info.value.limit) == (
+            "automorphism group order",
+            362880,
+            100000,
+        )
+
     def test_order_bound(self):
         z13 = CayleyTable([[(i + j) % 13 for j in range(13)] for i in range(13)])
         with pytest.raises(OrderTooLarge):
@@ -303,6 +318,9 @@ class TestAutomorphismChain:
             assert len(chain.generators) == n - 1
             if n <= 8:
                 assert len(set(chain.elements())) == chain.order
+
+    def test_every_search_has_a_node_budget(self):
+        assert inspect.signature(_automorphism_chain).parameters["max_nodes"].default == 10**8
 
     def test_node_budget_counts_visited_nodes(self):
         nodes = _automorphism_chain(S6).nodes

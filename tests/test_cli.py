@@ -160,6 +160,12 @@ class TestVerifyTheorem:
         assert main(["verify-theorem", write(tmp_path, "l12", left_zero_text(12))]) == 0
         assert "aut_order: 479001600\n" in capsys.readouterr().out
 
+    def test_null_semigroup_of_order_twelve(self, tmp_path, capsys):
+        # |G| = 11!: G is never listed, so no cap refuses it
+        null12 = "12\n" + "0 0 0 0 0 0 0 0 0 0 0 0\n" * 12
+        assert main(["verify-theorem", write(tmp_path, "n12", null12)]) == 0
+        assert "g_order: 39916800\n" in capsys.readouterr().out
+
     def test_s6_text_output(self, tmp_path, capsys):
         assert main(["verify-theorem", write(tmp_path, "s6", S6_TEXT)]) == 0
         assert capsys.readouterr().out == verify_theorem(S6).to_text()
@@ -278,6 +284,15 @@ class TestCorpus:
         doc = json.loads(capsys.readouterr().out)
         assert doc["tables_seen"] == 8
         assert doc["theorem_failures"] == 0
+
+    def test_refused_run_leaves_the_report_file_untouched(self, tmp_path, capsys):
+        report = tmp_path / "report.jsonl"
+        report.write_text("kept\n")
+        assert main(["corpus", "--order", "5", "--report", str(report)]) == 3
+        assert report.read_text() == "kept\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "finsemi: enumeration order 5 exceeds the configured limit 4\n"
 
     def test_seeded_policy(self, capsys):
         assert main(["corpus", "--order", "2", "--policy", "seeded", "--seed", "7"]) == 0

@@ -381,10 +381,24 @@ class TestVerifyTheorem:
         )
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
-    def test_group_order_bound(self):
-        big_null = CayleyTable([[0] * 10 for _ in range(10)])
-        with pytest.raises(OrderTooLarge):
-            verify_theorem(big_null, max_group_order=100)
+    @pytest.mark.parametrize(
+        "table,g_order",
+        [
+            (CayleyTable([[0] * 10 for _ in range(10)]), math.factorial(9)),
+            (CayleyTable([[0] * 12 for _ in range(12)]), math.factorial(11)),
+            (build_inflation(FiberSizeSpec(L2, (1, 11)))[0], math.factorial(10)),
+        ],
+        ids=["N10", "N12", "L2-inflated-1-11"],
+    )
+    def test_class_group_over_ten_to_the_five_verifies_in_under_a_second(self, table, g_order):
+        # G is never listed, so |G| has no cap
+        start = time.perf_counter()
+        report = verify_theorem(table)
+        elapsed = time.perf_counter() - start
+        assert report.all_flags
+        blocks = compute_psi(table).blocks
+        assert report.g_order == math.prod(math.factorial(len(b)) for b in blocks) == g_order
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
     def test_s6_report_text(self):
         report = verify_theorem(S6)
@@ -477,9 +491,11 @@ S6_CLASS_SPLIT = Permutation((0, 1, 2, 4, 3, 5))
 def _regrow(chain, generators):
     """The chain on the same base, its orbits and Schreier vectors regrown from generators."""
     base, n = chain.base, len(chain.base)
-    levels = [next(k for k, b in enumerate(base) if g[b] != b) for g in generators]
+    level = {g: next(k for k, b in enumerate(base) if g[b] != b) for g in generators}
+    # deepest level first, as the search finds them, so those of level >= k are a prefix
+    generators = sorted(generators, key=level.__getitem__, reverse=True)
     grown = [
-        automorphisms._schreier(n, b, generators, [i for i, lv in enumerate(levels) if lv >= k])
+        automorphisms._schreier(n, b, generators[: sum(level[g] >= k for g in generators)])
         for k, b in enumerate(base)
     ]
     return chain._replace(
