@@ -93,7 +93,7 @@ class PermGroup:
 
     __slots__ = ("degree", "elements", "_members")
 
-    def __init__(self, degree: int, elements: Iterable[Permutation], *, validate: bool = False):
+    def __init__(self, degree: int, elements: Iterable[Permutation]):
         by_images = {p.images: p for p in elements}
         for images in by_images:
             if len(images) != degree:
@@ -101,10 +101,6 @@ class PermGroup:
         self.degree = degree
         self.elements = tuple(by_images[images] for images in sorted(by_images))
         self._members = frozenset(by_images)
-        if validate:
-            problem = group_axiom_witness(self)
-            if problem is not None:
-                raise MalformedInput(f"not a group: {problem}")
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -179,7 +179,11 @@ def canonicalize(table: CayleyTable, *, max_order: int = DEFAULT_MAX_CANON_ORDER
 
 @dataclass(frozen=True)
 class CorpusSummary:
-    """Totals for one corpus run; the histogram keys on (aut, h, g) orders."""
+    """Totals for one corpus run; the histogram keys on (aut, h, g) orders.
+
+    elapsed_seconds is for library callers; neither report form prints it,
+    so the same run prints the same bytes.
+    """
 
     tables_seen: int
     theorem_failures: int
@@ -194,7 +198,6 @@ class CorpusSummary:
                 {"aut_order": a, "h_order": h, "g_order": g, "count": c}
                 for (a, h, g), c in self.histogram
             ],
-            "elapsed_seconds": self.elapsed_seconds,
         }
 
     def to_text(self) -> str:
@@ -205,7 +208,6 @@ class CorpusSummary:
         lines.extend(
             f"histogram {a} {h} {g}: {c}" for (a, h, g), c in self.histogram
         )
-        lines.append(f"elapsed_seconds: {self.elapsed_seconds:.3f}")
         return "\n".join(lines) + "\n"
 
 

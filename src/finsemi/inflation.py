@@ -44,10 +44,6 @@ class Transversal:
             if not 0 <= t < self.order:
                 raise MalformedInput(f"representative {t} outside 0..{self.order - 1}")
 
-    def position_of(self, rep: int) -> int:
-        """Dense id of a representative in the restricted table."""
-        return self.representatives.index(rep)
-
 
 @dataclass(frozen=True)
 class RetractionMap:

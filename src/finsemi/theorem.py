@@ -77,20 +77,14 @@ def predicted_class_group_order(psi: Partition) -> int:
     return math.prod(math.factorial(len(b)) for b in psi.blocks)
 
 
-def psi_class_group(
-    psi: Partition,
-    degree: int | None = None,
-    *,
-    max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
-) -> PermGroup:
+def psi_class_group(psi: Partition, *, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
     """All permutations fixing every psi class setwise.
 
     Built as the direct product of the symmetric groups on the individual
-    blocks; singleton blocks contribute nothing.
+    blocks; singleton blocks contribute nothing, and distinct choices of
+    block permutations give distinct products.
     """
     n = psi.order
-    if degree is not None and degree != n:
-        raise MalformedInput(f"degree {degree} differs from partition order {n}")
     predicted = predicted_class_group_order(psi)
     if predicted > max_group_order:
         raise OrderTooLarge("class group order", predicted, max_group_order)
@@ -102,10 +96,7 @@ def psi_class_group(
             for src, dst in zip(block, perm):
                 images[src] = dst
         elements.append(Permutation(tuple(images)))
-    group = PermGroup(n, elements)
-    if len(group) != predicted:
-        raise MalformedInput("class group construction lost elements")
-    return group
+    return PermGroup(n, elements)
 
 
 def extension_scheme(psi: Partition, t: Transversal) -> ExtensionScheme:
@@ -155,14 +146,30 @@ def extend_automorphism(tau: Permutation, scheme: ExtensionScheme) -> Permutatio
 
 
 def embed_h(h: PermGroup, scheme: ExtensionScheme) -> PermGroup:
-    """Extend every member of h; position maps make this multiplicative."""
+    """Extend every member of h; position maps make this one-to-one and multiplicative."""
     if h.degree != len(scheme.listings):
         raise MalformedInput("group degree differs from the number of classes")
-    extended = [extend_automorphism(tau, scheme) for tau in h]
-    group = PermGroup(scheme.order, extended)
-    if len(group) != len(h):
-        raise MalformedInput("extension identified two transversal automorphisms")
-    return group
+    return PermGroup(scheme.order, [extend_automorphism(tau, scheme) for tau in h])
+
+
+def _class_action(
+    images: tuple[int, ...], psi: Partition, reps: tuple[int, ...]
+) -> Permutation | None:
+    """How images permute the psi classes, in transversal positions; None on a split.
+
+    reps holds one representative per class, and entry k of the result is
+    the position of the class that images map the class of reps[k] onto.
+    A bijection that splits no class merges none, so the result permutes.
+    """
+    slot = [0] * len(reps)  # the position of each block's representative
+    for k, rep in enumerate(reps):
+        slot[psi.block_of[rep]] = k
+    pos = [slot[b] for b in psi.block_of]
+    onto = [pos[v] for v in images]
+    tau = tuple([onto[rep] for rep in reps])
+    if [tau[k] for k in pos] != onto:
+        return None
+    return Permutation._unchecked(tau)
 
 
 def decompose_automorphism(
@@ -176,15 +183,14 @@ def decompose_automorphism(
 
     tau records how phi permutes the psi classes, read off transversal
     positions; pi = phi * inverse(tau_bar) then fixes every class setwise.
-    Returns (tau, pi).
+    Returns (tau, pi).  MalformedInput when phi splits a class of psi.
     """
     witness = automorphism_witness(table, phi)
     if witness is not None:
         raise NotAnAutomorphism(witness)
-    pos_of_block = {psi.block_of[rep]: k for k, rep in enumerate(t.representatives)}
-    tau = Permutation(
-        tuple(pos_of_block[psi.block_of[phi.images[rep]]] for rep in t.representatives)
-    )
+    tau = _class_action(phi.images, psi, t.representatives)
+    if tau is None:
+        raise MalformedInput(f"{phi.images} splits a psi class")
     pi = compose(phi, inverse(extend_automorphism(tau, scheme)))
     return tau, pi
 
@@ -247,21 +253,6 @@ class TheoremReport:
         return "\n".join(lines) + "\n"
 
 
-def _class_action(
-    images: tuple[int, ...], block_of: tuple[int, ...], firsts: list[int]
-) -> tuple[int, ...] | None:
-    """Entry k is the index of the psi block that images map block k onto.
-
-    firsts[k] is the least id of block k.  None when a class is split; a
-    bijection that splits none merges none.
-    """
-    onto = [block_of[v] for v in images]
-    action = tuple([onto[x] for x in firsts])
-    if [action[b] for b in block_of] != onto:
-        return None
-    return action
-
-
 def verify_theorem(
     table: CayleyTable,
     policy: str = "least",
@@ -289,8 +280,8 @@ def verify_theorem(
     fails.
     """
     n = table.order
-    if n > max_order:
-        raise OrderTooLarge("table order", n, max_order)
+    # first, so that the table-order cap refuses before any other work
+    aut = _automorphism_chain(table, max_order=max_order, max_nodes=max_search)
     psi = compute_psi(table)
     predicted_g = predicted_class_group_order(psi)
     t = choose_transversal(psi, policy, seed)
@@ -304,28 +295,16 @@ def verify_theorem(
     if bad_pair is not None:
         witnesses["kernel"] = f"theta identifies the h-unrelated pair {bad_pair}"
 
-    sub, old_ids = restrict_to_subsemigroup(table, t.representatives)
-    class_sizes = tuple(len(psi.block_containing(rep)) for rep in old_ids)
-    aut = _automorphism_chain(table, max_order=max_order, max_nodes=max_search)
+    sub, _ = restrict_to_subsemigroup(table, t.representatives)
+    scheme = extension_scheme(psi, t)
+    class_sizes = tuple(map(len, scheme.listings))
     try:
         h = _automorphism_chain(
             sub, class_sizes, max_order=max_order, max_nodes=max_search - aut.nodes
         )
     except OrderTooLarge as exc:  # the budget is shared, so report it whole
         raise OrderTooLarge(exc.what, aut.nodes + exc.requested, max_search) from None
-    scheme = extension_scheme(psi, t)
     h_bar = embed_h(PermGroup(sub.order, map(Permutation._unchecked, h.generators)), scheme)
-    block_of = psi.block_of
-    firsts = [block[0] for block in psi.blocks]
-    rep_blocks = [block_of[rep] for rep in t.representatives]
-    pos_of_block = {b: k for k, b in enumerate(rep_blocks)}
-
-    def tau_of(images: tuple[int, ...]) -> Permutation | None:
-        """The class action of images read in transversal positions; None on a split."""
-        action = _class_action(images, block_of, firsts)
-        if action is None:
-            return None
-        return Permutation._unchecked(tuple([pos_of_block[action[b]] for b in rep_blocks]))
 
     aut_order, h_order = aut.order, h.order
     identity_holds = aut_order == predicted_g * h_order
@@ -335,7 +314,7 @@ def verify_theorem(
     # phi G phi^-1 is the product of the Sym(phi B), so phi normalizes G
     # exactly when it permutes the classes; the adjacent transpositions
     # generate G.
-    taus = [tau_of(phi) for phi in aut.generators]
+    taus = [_class_action(phi, psi, t.representatives) for phi in aut.generators]
     splits = taus.count(None)
     swaps = []
     for block in psi.blocks:
@@ -359,7 +338,7 @@ def verify_theorem(
     # class action extends.
     not_lifts = 0
     for tb in h_bar:
-        tau = tau_of(tb.images)
+        tau = _class_action(tb.images, psi, t.representatives)
         not_lifts += tau is None or extend_automorphism(tau, scheme) != tb
     intersection_trivial = not_lifts == 0
     if not intersection_trivial:
@@ -387,7 +366,7 @@ def verify_theorem(
         else:
             tbi = inverse(extend_automorphism(tau, scheme)).images
             pi = [tbi[v] for v in phi]  # phi * inverse(tau_bar)
-            if [block_of[v] for v in pi] == list(block_of):
+            if [psi.block_of[v] for v in pi] == list(psi.block_of):
                 continue
             problem = "pi moves a class"
         factorization_unique = False

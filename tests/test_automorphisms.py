@@ -24,7 +24,7 @@ from finsemi import (
     extendable_automorphisms,
     subgroup_checks,
 )
-from finsemi.automorphisms import _automorphism_chain
+from finsemi.automorphisms import _automorphism_chain, group_axiom_witness
 from support import (
     FIXTURES,
     L2,
@@ -376,14 +376,17 @@ class TestPermGroup:
         assert None not in g
 
     def test_validation_catches_non_group(self):
-        with pytest.raises(MalformedInput):
-            PermGroup(3, [identity(3), Permutation((1, 2, 0))], validate=True)
+        # both transpositions are their own inverses, but their product is missing
+        g = PermGroup(3, [identity(3), Permutation((0, 2, 1)), Permutation((1, 0, 2))])
+        assert group_axiom_witness(g) == "not closed at (0, 2, 1) * (1, 0, 2)"
+        g = PermGroup(3, [identity(3), Permutation((1, 2, 0))])
+        assert group_axiom_witness(g) == "missing inverse of (1, 2, 0)"
+        assert group_axiom_witness(enumerate_automorphisms(S6)) is None
 
     def test_validation_requires_identity(self):
-        # unvalidated construction accepts anything permutation-shaped
-        PermGroup(3, [Permutation((0, 2, 1))], validate=False)
-        with pytest.raises(MalformedInput):
-            PermGroup(3, [Permutation((0, 2, 1))], validate=True)
+        # construction accepts anything permutation-shaped
+        g = PermGroup(3, [Permutation((0, 2, 1))])
+        assert group_axiom_witness(g) == "missing identity"
 
     def test_fixture_groups_satisfy_axioms(self):
         for table in FIXTURES.values():

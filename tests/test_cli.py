@@ -181,6 +181,15 @@ class TestVerifyTheorem:
             ["verify-theorem", write(tmp_path, "s6", S6_TEXT), "--max-order", "3"]
         ) == 3
 
+    def test_order_over_the_cap_is_refused_with_empty_stdout(self, tmp_path, capsys):
+        path = write(tmp_path, "l13", left_zero_text(13))
+        assert main(["verify-theorem", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "finsemi: table order 13 exceeds the configured limit 12\n"
+        assert main(["verify-theorem", path, "--max-order", "13"]) == 0
+        assert "aut_order: 6227020800\n" in capsys.readouterr().out
+
     def test_malformed(self, tmp_path):
         assert main(["verify-theorem", write(tmp_path, "bad", "junk")]) == 2
 
@@ -293,6 +302,19 @@ class TestCorpus:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "finsemi: enumeration order 5 exceeds the configured limit 4\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_summary_is_byte_identical_between_runs(self, capsys, fmt):
+        outs = []
+        for _ in range(2):
+            assert main(["corpus", "--order", "3", "--format", fmt]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "elapsed_seconds" not in outs[0]
+        if fmt == "structured":
+            assert set(json.loads(outs[0])) == {"tables_seen", "theorem_failures", "histogram"}
+        else:
+            assert outs[0].startswith("tables_seen: 113\ntheorem_failures: 0\nhistogram ")
 
     def test_seeded_policy(self, capsys):
         assert main(["corpus", "--order", "2", "--policy", "seeded", "--seed", "7"]) == 0

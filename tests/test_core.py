@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import types
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from finsemi import (
     product_set,
     relabel_table,
 )
+import finsemi
 from support import (
     L2,
     N3,
@@ -307,3 +309,13 @@ class TestRelabelTable:
         sigma = [2, 0, 1]
         inv = [1, 2, 0]
         assert relabel_table(relabel_table(Z3, sigma), inv) == Z3
+
+
+def test_every_public_name_is_exported():
+    bound = {
+        name
+        for name, value in vars(finsemi).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == set(finsemi.__all__)
+    assert "Partition" in finsemi.__all__

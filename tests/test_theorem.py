@@ -41,7 +41,7 @@ from finsemi import (
     verify_theorem,
 )
 from finsemi import automorphisms, theorem
-from finsemi.inflation import POLICIES
+from finsemi.inflation import POLICIES, InflationWitness
 from support import (
     FIXTURES,
     IL2,
@@ -103,10 +103,6 @@ class TestPsiClassGroup:
         wide = Partition(9, [list(range(9))])
         with pytest.raises(OrderTooLarge):
             psi_class_group(wide, max_group_order=10**5)
-
-    def test_degree_mismatch(self):
-        with pytest.raises(MalformedInput):
-            psi_class_group(compute_psi(N3), degree=4)
 
 
 class TestExtensionScheme:
@@ -274,6 +270,13 @@ class TestDecomposeAutomorphism:
         with pytest.raises(NotAnAutomorphism) as info:
             decompose_automorphism(S6, Permutation((0, 1, 3, 2, 4, 5)), psi, t, scheme)
         assert info.value.witness is not None
+
+    def test_rejects_a_partition_the_automorphism_splits(self):
+        # phi is an automorphism of the null table, but maps {1, 2} onto {3, 2}
+        psi = Partition(4, [[0], [1, 2], [3]])
+        t = choose_transversal(psi, "least")
+        with pytest.raises(MalformedInput, match="splits a psi class"):
+            decompose_automorphism(N4, Permutation((0, 3, 2, 1)), psi, t, extension_scheme(psi, t))
 
     def test_class_part_always_fixes_classes(self, corpus_by_order):
         for table in corpus_by_order[3][::9]:
@@ -610,6 +613,28 @@ class TestVerifyTheoremFlagsFail:
             _on_s6(lambda c: _regrow(c, list(c.generators) + [S6_CLASS_SPLIT.images])),
         )
         self.check((False, False, True, False), ("factorization", "g_normal", "identity"))
+
+    @pytest.mark.parametrize(
+        "name,value,key,text",
+        [
+            (
+                "verify_inflation",
+                InflationWitness("product", (2, 4)),
+                "inflation",
+                "product fails at (2, 4)",
+            ),
+            (
+                "verify_kernel_in_h",
+                (2, 3),
+                "kernel",
+                "theta identifies the h-unrelated pair (2, 3)",
+            ),
+        ],
+    )
+    def test_structure_witness_leaves_the_four_flags(self, monkeypatch, name, value, key, text):
+        monkeypatch.setattr(theorem, name, lambda *args: value)
+        assert self.check((True, True, True, True), (key,)) == {key: text}
+        assert verify_theorem(S6).to_text().endswith(f"witnesses: 1\nwitness {key}: {text}\n")
 
     def test_class_splitting_map_in_place_of_a_class_fixing_one(self, monkeypatch):
         monkeypatch.setattr(theorem, "_automorphism_chain", _on_s6(_split_in_place_of_class_swap))
