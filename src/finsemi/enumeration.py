@@ -1,12 +1,17 @@
 """Exhaustive generation of small multiplication tables.
 
-The generator fills table cells one at a time and abandons a partial table
-as soon as some fully determined associativity triple fails, so only
-semigroups reach the leaves.  Canonical forms take the minimum over all n!
-relabelings, which is affordable at the orders this tool targets: a plan
-cached per order lists each relabeling's images and, for each row-major
-position, the flat index its entry comes from, and a candidate is dropped
-at the first position where it differs from the least encoding so far.
+The generator fills table cells one at a time and tries at each cell only
+the values that fail no fully determined associativity triple, so only
+semigroups reach the leaves.  A triple that reads the cell only as (ab)c
+or as a(bc) forces its value, and two different forced values close the
+branch; the forced value, or every value when none is forced, is then
+checked against the triples that read the cell as ab or as bc.
+
+Canonical forms take the minimum over all n! relabelings, which is
+affordable at the orders this tool targets: a plan cached per order lists
+each relabeling's images and, for each row-major position, the flat index
+its entry comes from, and a candidate is dropped at the first position
+where it differs from the least encoding so far.
 """
 
 from __future__ import annotations
@@ -41,44 +46,31 @@ class EnumerationTask:
             raise MalformedInput(f"unknown mode {self.mode!r}, expected one of {MODES}")
 
 
-def _consistent_after(g: list[list[int]], n: int, i: int, j: int) -> bool:
-    """Check every triple whose reads involve the freshly set cell (i, j).
+def _candidates(g: list[list[int]], n: int, i: int, j: int) -> list[int]:
+    """The values, ascending, that the unset cell (i, j) can take.
 
     A triple (a, b, c) reads (a,b), (b,c), (ab,c) and (a,bc) and fails only
-    when all four are set (not -1) and (ab)c != a(bc).  The four loops cover
-    the ways the fresh cell can appear among those reads: as (a,b), as
-    (b,c), as (ab,c) and as (a,bc).
+    when all four are set (not -1) and (ab)c != a(bc); v is a candidate when
+    no triple fails once (i, j) holds v.  A triple that reads (i, j) only as
+    (ab,c) or as (a,bc) reaches it through set cells that are not (i, j),
+    so one forcing scan covers all of them; the values it leaves are tried
+    against the triples that read (i, j) as (a,b) or as (b,c).  The grid is
+    left as it was.
     """
     gi = g[i]
-    x = gi[j]
-    gx = g[x]
-    gj = g[j]
-    for c in range(n):  # (i, j, c)
-        y = gj[c]
-        if y >= 0:
-            p = gx[c]
-            if p >= 0:
-                q = gi[y]
-                if q >= 0 and p != q:
-                    return False
-    for row in g:  # (a, i, j)
-        u = row[i]
-        if u >= 0:
-            p = g[u][j]
-            if p >= 0:
-                q = row[x]
-                if q >= 0 and p != q:
-                    return False
-    for row in g:  # (a, b, j) with ab = i
+    forced = -1
+    for row in g:  # (a, b, j) with ab = i: v = a(bj)
         if i in row:
             for b in range(n):
                 if row[b] == i:
                     y = g[b][j]
                     if y >= 0:
                         q = row[y]
-                        if q >= 0 and q != x:
-                            return False
-    for b in range(n):  # (i, b, c) with bc = j
+                        if q >= 0 and q != forced:
+                            if forced >= 0:
+                                return []
+                            forced = q
+    for b in range(n):  # (i, b, c) with bc = j: v = (ib)c
         u = gi[b]
         if u >= 0:
             row = g[b]
@@ -87,9 +79,36 @@ def _consistent_after(g: list[list[int]], n: int, i: int, j: int) -> bool:
                 for c in range(n):
                     if row[c] == j:
                         p = gu[c]
-                        if p >= 0 and p != x:
-                            return False
-    return True
+                        if p >= 0 and p != forced:
+                            if forced >= 0:
+                                return []
+                            forced = p
+    gj = g[j]
+    out = []
+    for v in range(n) if forced < 0 else (forced,):
+        gi[j] = v
+        gv = g[v]
+        for c in range(n):  # (i, j, c)
+            y = gj[c]
+            if y >= 0:
+                p = gv[c]
+                if p >= 0:
+                    q = gi[y]
+                    if q >= 0 and p != q:
+                        break
+        else:
+            for row in g:  # (a, i, j)
+                u = row[i]
+                if u >= 0:
+                    p = g[u][j]
+                    if p >= 0:
+                        q = row[v]
+                        if q >= 0 and p != q:
+                            break
+            else:
+                out.append(v)
+    gi[j] = -1
+    return out
 
 
 def check_enumeration_order(task: EnumerationTask, max_order: int = DEFAULT_MAX_ENUM_ORDER):
@@ -125,11 +144,11 @@ def enumerate_semigroups(
             yield CayleyTable._unchecked(tuple(map(tuple, grid)))
             return
         i, j = cells[k]
-        for v in range(n):
-            grid[i][j] = v
-            if _consistent_after(grid, n, i, j):
-                yield from fill(k + 1)
-        grid[i][j] = -1
+        row = grid[i]
+        for v in _candidates(grid, n, i, j):
+            row[j] = v
+            yield from fill(k + 1)
+        row[j] = -1
 
     for table in fill(0):
         if task.mode == "labelled" or canonicalize(table) == table:

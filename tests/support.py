@@ -70,6 +70,31 @@ def naive_semigroup_rows(n: int) -> set[tuple[tuple[int, ...], ...]]:
     return out
 
 
+def naive_cell_candidates(rows, i, j) -> list[int]:
+    """Values, ascending, that the unset cell (i, j) of a partial table can take.
+
+    Unset cells hold -1.  Each value in turn goes into (i, j) and all n^3
+    triples are scanned; a triple counts only when its four reads are set.
+    """
+    n = len(rows)
+    kept = []
+    for v in range(n):
+        grid = [list(row) for row in rows]
+        grid[i][j] = v
+        if all(
+            grid[grid[a][b]][c] == grid[a][grid[b][c]]
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            if grid[a][b] >= 0
+            and grid[b][c] >= 0
+            and grid[grid[a][b]][c] >= 0
+            and grid[a][grid[b][c]] >= 0
+        ):
+            kept.append(v)
+    return kept
+
+
 def naive_canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
     """Least row-major relabeling over all n! relabelings.
 

@@ -19,7 +19,13 @@ from finsemi import (
     parse_table,
     relabel_table,
 )
-from support import N3, naive_canonical_rows, naive_semigroup_rows
+from finsemi.enumeration import _candidates
+from support import (
+    N3,
+    naive_canonical_rows,
+    naive_cell_candidates,
+    naive_semigroup_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +38,66 @@ def shuffled_cells(n: int, seed: int) -> list[tuple[int, int]]:
     cells = [(i, j) for i in range(n) for j in range(n)]
     random.Random(seed).shuffle(cells)
     return cells
+
+
+def partial_grids(seed: int, count: int):
+    """Seeded consistent partial tables, n = 2..5, with one unset cell each.
+
+    Cells are set in a shuffled order, each to a random value the oracle
+    allows, until a random number are set or some cell has no value left;
+    the cell returned is the first one in that order still unset.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        rng.shuffle(cells)
+        grid = [[-1] * n for _ in range(n)]
+        for i, j in cells[: rng.randrange(len(cells))]:
+            values = naive_cell_candidates(grid, i, j)
+            if not values:
+                break
+            grid[i][j] = rng.choice(values)
+        i, j = next((i, j) for i, j in cells if grid[i][j] < 0)
+        yield grid, i, j
+
+
+class TestCandidates:
+    def test_matches_naive_oracle_on_random_partial_grids(self):
+        seen = {"i == j": 0, "none": 0, "only i": 0, "several": 0}
+        for grid, i, j in partial_grids(61, 1000):
+            before = [row[:] for row in grid]
+            got = _candidates(grid, len(grid), i, j)
+            assert got == naive_cell_candidates(before, i, j), (before, i, j)
+            assert grid == before
+            seen["i == j"] += i == j
+            seen["none"] += not got
+            seen["only i"] += got == [i]
+            seen["several"] += len(got) > 1
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize(
+        "rows,i,j,expected",
+        [
+            # (1,1,1): 1*1 = 0, so v = (11)1 = 1(11) = 1*0 = 0 = i
+            ([[-1, -1], [0, 0]], 0, 1, [0]),
+            # (1,0,1): 1*0 = 1, so v = (10)1 = 1(01) = 1*0 = 1 = i = j
+            ([[-1, 0, -1], [1, -1, -1], [-1, -1, -1]], 1, 1, [1]),
+            # (2,1,0): 1*0 = 2, so v = 2(10) = (21)0 = 1*0 = 2 = i = j
+            ([[-1, -1, -1], [2, -1, -1], [-1, 1, -1]], 2, 2, [2]),
+            # nothing is forced and both values survive
+            ([[-1, -1], [0, 1]], 0, 1, [0, 1]),
+            # (1,1,1) forces 1(11) = 0 and (2,0,0) forces (20)0 = 1
+            ([[1, -1, -1], [-1, 2, 0], [0, -1, -1]], 2, 1, []),
+            # (0,2,0) and (1,2,0) both force 2, which (0,0,0) rejects: 2*0 != 0*2
+            ([[-1, -1, 1], [2, -1, 0], [0, -1, -1]], 0, 0, []),
+        ],
+    )
+    def test_hand_built_cells(self, rows, i, j, expected):
+        grid = [row[:] for row in rows]
+        assert naive_cell_candidates(rows, i, j) == expected
+        assert _candidates(grid, len(grid), i, j) == expected
+        assert grid == rows
 
 
 class TestEnumerationTask:
@@ -76,17 +142,23 @@ class TestEnumerateSemigroups:
         second = list(enumerate_semigroups(EnumerationTask(3)))
         assert first == second
 
-    def test_cell_order_does_not_change_the_set(self, corpus_by_order):
-        shuffled = set(
-            enumerate_semigroups(EnumerationTask(3), cell_order=shuffled_cells(3, 43))
-        )
-        assert shuffled == set(corpus_by_order[3])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_labelled_stream_is_strictly_increasing(self, n, corpus_by_order):
+        # with the set checks above, this fixes the exact order stdout prints
+        rows = [t.rows for t in corpus_by_order[n]]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+
+    def test_cell_order_does_not_change_the_set(self):
+        naive = naive_semigroup_rows(3)
+        for seed in (43, 44, 45, 46):
+            shuffled = enumerate_semigroups(EnumerationTask(3), cell_order=shuffled_cells(3, seed))
+            assert {t.rows for t in shuffled} == naive
 
     def test_cell_order_does_not_change_the_set_at_order_four(self, corpus_by_order):
-        shuffled = set(
-            enumerate_semigroups(EnumerationTask(4), cell_order=shuffled_cells(4, 53))
-        )
-        assert shuffled == set(corpus_by_order[4])
+        column_major = [(i, j) for j in range(4) for i in range(4)]
+        for cells in (shuffled_cells(4, 53), column_major):
+            tables = set(enumerate_semigroups(EnumerationTask(4), cell_order=cells))
+            assert tables == set(corpus_by_order[4])
 
     def test_order_bound(self):
         with pytest.raises(OrderTooLarge):
@@ -117,9 +189,10 @@ class TestUpToIso:
         assert {canonicalize(t) for t in corpus_by_order[2]} == set(reps)
 
     def test_order_four_matches_naive_classes(self, naive_canonical_by_order):
+        # the representatives stream in increasing order, as the labelled fill does
         reps = list(enumerate_semigroups(EnumerationTask(4, mode="up_to_iso")))
         assert len(reps) == 188  # OEIS A027851
-        assert {t.rows for t in reps} == set(naive_canonical_by_order[4])
+        assert [t.rows for t in reps] == sorted(set(naive_canonical_by_order[4]))
 
 
 class TestCanonicalize:
