@@ -193,7 +193,9 @@ def _plan(
         row, px = rows[x], position[x]
         for y in range(n):
             z = row[y]
-            bucket[max(px, position[y], position[z])].append((x, y, z))
+            py, pz = position[y], position[z]
+            k = px if px > py else py
+            bucket[k if k > pz else pz].append((x, y, z))
     return order, candidates, bucket
 
 
@@ -240,18 +242,18 @@ class _Chain(NamedTuple):
         """True when images is a product of the strong generators.
 
         At each level the image of the base point is walked back to it along
-        the Schreier vector, dividing by one generator per step.
+        the Schreier vector, dividing by one generator (inverted once) per step.
         """
         g = list(images)
+        inverses: dict[int, list[int]] = {}
         for b, vector in zip(self.base, self.vectors):
             while g[b] != b:
                 i = vector[g[b]]
                 if i is None:
                     return False
-                inv = [0] * len(g)
-                for x, y in enumerate(self.generators[i]):
-                    inv[y] = x
-                g = [inv[v] for v in g]
+                if i not in inverses:  # sorting the ids by their image inverts
+                    inverses[i] = sorted(range(len(g)), key=self.generators[i].__getitem__)
+                g = [inverses[i][v] for v in g]
         # every id is a base point, so g is now the identity
         return True
 

@@ -5,6 +5,12 @@ A finite semigroup is given by its multiplication table over element ids
 sides.  The psi partition keeps every product element in its own singleton
 class and groups non-products by h; it is the congruence the inflation
 machinery retracts along.
+
+Psi also decides associativity, for any magma.  Let T hold one id per psi
+class and theta send each id to the one of its class.  Then a*b =
+theta(a)*theta(b), as h-related ids have equal rows and columns, and theta
+fixes every product, so (ab)c and a(bc) are the same products over theta(a),
+theta(b), theta(c) in T: a table is associative exactly when T is, in O(n^2 + |T|^3).
 """
 
 from __future__ import annotations
@@ -172,16 +178,27 @@ def format_table(table: CayleyTable) -> str:
 
 
 def check_associativity(table: CayleyTable) -> tuple[int, int, int] | None:
-    """None when associative, else the lexicographically least failing (a, b, c)."""
+    """None when associative, else the lexicographically least failing (a, b, c).
+
+    Scans the triples over T, one id per psi class (see the module docstring),
+    and all n^3 only when T fails, for the least witness, or when T is every id.
+    """
     rows = table.rows
-    n = table.order
-    for a in range(n):
+    reps = [b[0] for b in _psi_blocks(_h_blocks(rows), product_set(table))]
+    if len(reps) < table.order and _first_failure(rows, reps) is None:
+        return None
+    return _first_failure(rows, range(table.order))
+
+
+def _first_failure(rows, ids) -> tuple[int, int, int] | None:
+    """The first (a, b, c) over ids, in their order, with (ab)c != a(bc)."""
+    for a in ids:
         ra = rows[a]
-        for b in range(n):
-            ab = ra[b]
+        for b in ids:
+            rab = rows[ra[b]]
             rb = rows[b]
-            for c in range(n):
-                if rows[ab][c] != ra[rb[c]]:
+            for c in ids:
+                if rab[c] != ra[rb[c]]:
                     return (a, b, c)
     return None
 
@@ -206,33 +223,32 @@ def product_set(table: CayleyTable) -> frozenset[int]:
     return frozenset(out)
 
 
+def _h_blocks(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The h classes, each ascending, in order of least element."""
+    groups: dict[tuple, list[int]] = {}
+    for a, key in enumerate(zip(rows, zip(*rows))):
+        groups.setdefault(key, []).append(a)
+    return list(groups.values())
+
+
+def _psi_blocks(h_blocks: Iterable[Sequence[int]], prods: frozenset[int]) -> list[list[int]]:
+    """Each product alone and the non-products of each h block together, each ascending."""
+    rests = ([a for a in block if a not in prods] for block in h_blocks)
+    return [[a] for a in prods] + [rest for rest in rests if rest]
+
+
 def compute_h(table: CayleyTable) -> Partition:
     """Group elements multiplying identically on both sides.
 
     a and b are related when a*x = b*x and x*a = x*b for every x, which is
     row a == row b together with column a == column b.
     """
-    n = table.order
-    rows = table.rows
-    cols = tuple(tuple(rows[i][j] for i in range(n)) for j in range(n))
-    groups: dict[tuple, list[int]] = {}
-    for a in range(n):
-        groups.setdefault((rows[a], cols[a]), []).append(a)
-    return Partition(n, groups.values())
+    return Partition(table.order, _h_blocks(table.rows))
 
 
 def compute_psi(table: CayleyTable) -> Partition:
     """Products stay singletons; non-products are grouped by the h relation."""
-    n = table.order
-    prods = product_set(table)
-    h = compute_h(table)
-    blocks: dict[tuple[str, int], list[int]] = {}
-    for a in range(n):
-        if a in prods:
-            blocks[("p", a)] = [a]
-        else:
-            blocks.setdefault(("h", h.block_of[a]), []).append(a)
-    return Partition(n, blocks.values())
+    return Partition(table.order, _psi_blocks(_h_blocks(table.rows), product_set(table)))
 
 
 def is_congruence(p: Partition, table: CayleyTable) -> CongruenceWitness | None:

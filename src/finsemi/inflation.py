@@ -195,8 +195,8 @@ def restrict_to_subsemigroup(
         for b in old_ids:
             if rows[a][b] not in members:
                 raise NotClosed((a, b))
-    sub = CayleyTable(
-        [[new_of[rows[a][b]] for b in old_ids] for a in old_ids]
+    sub = CayleyTable._unchecked(
+        tuple(tuple([new_of[rows[a][b]] for b in old_ids]) for a in old_ids)
     )
     return sub, old_ids
 

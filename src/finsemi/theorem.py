@@ -9,7 +9,8 @@ Aut = G x| H-bar on their strong generators alone: G is a predicate
 generated by the class transpositions, normality is "every generator
 permutes the classes", and the uniqueness of pi * tau_bar follows by
 counting |Aut| = |G| * |H|.  Nothing is listed, so the work grows with the
-search, not with |Aut|, and |G| has no cap.
+search, not with |Aut|, and |G| has no cap.  One structure pass per table
+gives h, psi from it and the class position of every id, all reused.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused
     inverse,
     subgroup_checks,
 )
-from .core import CayleyTable, Partition, compute_h, compute_psi
+from .core import CayleyTable, Partition, _psi_blocks, compute_h, product_set
+from .core import compute_psi  # noqa: F401  bench/tracing.py looks it up here
 from .errors import MalformedInput, NotAnAutomorphism, NotExtendable, OrderTooLarge
 from .inflation import (
     Transversal,
@@ -152,19 +154,21 @@ def embed_h(h: PermGroup, scheme: ExtensionScheme) -> PermGroup:
     return PermGroup(scheme.order, [extend_automorphism(tau, scheme) for tau in h])
 
 
+def _class_positions(psi: Partition, reps: tuple[int, ...]) -> list[int]:
+    """Per id, the position in reps of its class; reps holds one id per class."""
+    slot = {psi.block_of[rep]: k for k, rep in enumerate(reps)}
+    return [slot[b] for b in psi.block_of]
+
+
 def _class_action(
-    images: tuple[int, ...], psi: Partition, reps: tuple[int, ...]
+    images: tuple[int, ...], pos: list[int], reps: tuple[int, ...]
 ) -> Permutation | None:
     """How images permute the psi classes, in transversal positions; None on a split.
 
-    reps holds one representative per class, and entry k of the result is
-    the position of the class that images map the class of reps[k] onto.
+    pos is _class_positions(psi, reps), and entry k of the result is the
+    position of the class that images map the class of reps[k] onto.
     A bijection that splits no class merges none, so the result permutes.
     """
-    slot = [0] * len(reps)  # the position of each block's representative
-    for k, rep in enumerate(reps):
-        slot[psi.block_of[rep]] = k
-    pos = [slot[b] for b in psi.block_of]
     onto = [pos[v] for v in images]
     tau = tuple([onto[rep] for rep in reps])
     if [tau[k] for k in pos] != onto:
@@ -188,7 +192,7 @@ def decompose_automorphism(
     witness = automorphism_witness(table, phi)
     if witness is not None:
         raise NotAnAutomorphism(witness)
-    tau = _class_action(phi.images, psi, t.representatives)
+    tau = _class_action(phi.images, _class_positions(psi, t.representatives), t.representatives)
     if tau is None:
         raise MalformedInput(f"{phi.images} splits a psi class")
     pi = compose(phi, inverse(extend_automorphism(tau, scheme)))
@@ -282,20 +286,22 @@ def verify_theorem(
     n = table.order
     # first, so that the table-order cap refuses before any other work
     aut = _automorphism_chain(table, max_order=max_order, max_nodes=max_search)
-    psi = compute_psi(table)
+    h_rel = compute_h(table)
+    psi = Partition(n, _psi_blocks(h_rel.blocks, product_set(table)))
     predicted_g = predicted_class_group_order(psi)
     t = choose_transversal(psi, policy, seed)
+    reps, pos = t.representatives, _class_positions(psi, t.representatives)
 
     witnesses: dict[str, str] = {}
     r = induced_retraction(psi, t)
     bad_axiom = verify_inflation(table, r)
     if bad_axiom is not None:
         witnesses["inflation"] = f"{bad_axiom.axiom} fails at {bad_axiom.elements}"
-    bad_pair = verify_kernel_in_h(r, compute_h(table))
+    bad_pair = verify_kernel_in_h(r, h_rel)
     if bad_pair is not None:
         witnesses["kernel"] = f"theta identifies the h-unrelated pair {bad_pair}"
 
-    sub, _ = restrict_to_subsemigroup(table, t.representatives)
+    sub, _ = restrict_to_subsemigroup(table, reps)
     scheme = extension_scheme(psi, t)
     class_sizes = tuple(map(len, scheme.listings))
     try:
@@ -314,7 +320,7 @@ def verify_theorem(
     # phi G phi^-1 is the product of the Sym(phi B), so phi normalizes G
     # exactly when it permutes the classes; the adjacent transpositions
     # generate G.
-    taus = [_class_action(phi, psi, t.representatives) for phi in aut.generators]
+    taus = [_class_action(phi, pos, reps) for phi in aut.generators]
     splits = taus.count(None)
     swaps = []
     for block in psi.blocks:
@@ -338,7 +344,7 @@ def verify_theorem(
     # class action extends.
     not_lifts = 0
     for tb in h_bar:
-        tau = _class_action(tb.images, psi, t.representatives)
+        tau = _class_action(tb.images, pos, reps)
         not_lifts += tau is None or extend_automorphism(tau, scheme) != tb
     intersection_trivial = not_lifts == 0
     if not intersection_trivial:
@@ -366,7 +372,7 @@ def verify_theorem(
         else:
             tbi = inverse(extend_automorphism(tau, scheme)).images
             pi = [tbi[v] for v in phi]  # phi * inverse(tau_bar)
-            if [psi.block_of[v] for v in pi] == list(psi.block_of):
+            if [pos[v] for v in pi] == pos:
                 continue
             problem = "pi moves a class"
         factorization_unique = False

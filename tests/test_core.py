@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import types
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from finsemi import (
     CayleyTable,
     CongruenceWitness,
+    FiberSizeSpec,
     MalformedInput,
     NotAssociative,
     Partition,
+    build_inflation,
     check_associativity,
     compute_h,
     compute_psi,
@@ -23,6 +26,7 @@ from finsemi import (
     relabel_table,
 )
 import finsemi
+from finsemi import core
 from support import (
     L2,
     N3,
@@ -150,16 +154,59 @@ class TestCheckAssociativity:
 
     def test_agrees_with_oracle_on_random_grids(self):
         rng = random.Random(7)
-        for _ in range(200):
-            n = rng.randint(1, 4)
+        failing = 0
+        for _ in range(2000):
+            n = rng.randint(1, 7)
             rows = tuple(
                 tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)
             )
-            got = check_associativity(CayleyTable(rows))
             expected = naive_associativity_witness(rows)
-            assert (got is None) == (expected is None)
-            if got is not None:
-                assert got == expected
+            assert check_associativity(CayleyTable(rows)) == expected
+            failing += expected is not None
+        assert 1000 < failing < 2000
+
+    def test_every_magma_of_order_at_most_three(self):
+        for n in (1, 2, 3):
+            for vals in itertools.product(range(n), repeat=n * n):
+                rows = tuple(vals[i * n : (i + 1) * n] for i in range(n))
+                assert check_associativity(CayleyTable(rows)) == naive_associativity_witness(rows)
+
+    def test_every_semigroup_of_order_four(self, corpus_by_order):
+        assert len(corpus_by_order[4]) == 3492
+        for table in corpus_by_order[4]:
+            assert check_associativity(table) == naive_associativity_witness(table.rows)
+
+    def test_large_inflations_with_one_cell_changed(self, corpus_by_order, monkeypatch):
+        # the witness must still be the least failing triple of the whole table
+        rng = random.Random(12)
+        bases = corpus_by_order[1] + corpus_by_order[2] + corpus_by_order[3]
+        scanned = []  # how many ids each scan runs over
+        first_failure = core._first_failure
+
+        def counted(rows, ids):
+            scanned.append(len(ids))
+            return first_failure(rows, ids)
+
+        monkeypatch.setattr(core, "_first_failure", counted)
+        failing = 0
+        for _ in range(40):
+            base = rng.choice(bases)
+            sizes = [1] * base.order
+            for _ in range(rng.randint(20, 40) - base.order):
+                sizes[rng.randrange(base.order)] += 1
+            table, _ = build_inflation(FiberSizeSpec(base, tuple(sizes)), max_order=40)
+            n = table.order
+            table = relabel_table(table, rng.sample(range(n), n))
+            del scanned[:]
+            assert check_associativity(table) is None
+            assert scanned == [len(compute_psi(table).blocks)] and scanned[0] < n
+            rows = [list(row) for row in table.rows]
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
+            expected = naive_associativity_witness(rows)
+            assert check_associativity(CayleyTable(rows)) == expected
+            failing += expected is not None
+        assert failing > 20
 
 
 class TestProductSet:

@@ -485,6 +485,20 @@ class TestVerifyTheorem:
         assert verify_theorem(S6, "greatest").transversal_used == (0, 1, 4, 5)
         assert verify_theorem(S6, "least").transversal_used == (0, 1, 2, 3)
 
+    def test_h_is_computed_once_and_psi_derived_from_it(self, monkeypatch):
+        calls = []
+        compute_h = theorem.compute_h
+
+        def counted(table):
+            calls.append(table)
+            return compute_h(table)
+
+        monkeypatch.setattr(theorem, "compute_h", counted)
+        monkeypatch.setattr(theorem, "compute_psi", None)  # a call would raise
+        report = verify_theorem(S6)
+        assert calls == [S6]
+        assert report.all_flags and report.psi_class_sizes == (1, 1, 2, 2)
+
 
 S6_CLASS_SWAP = Permutation((0, 1, 4, 3, 2, 5))
 # swaps 3 and 4, so it sends the class {2, 4} onto neither class
