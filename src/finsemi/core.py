@@ -89,6 +89,19 @@ class Partition:
         self.block_of = tuple(seen)
 
     @classmethod
+    def _unchecked(cls, order: int, blocks: Iterable[Sequence[int]]) -> "Partition":
+        """Wrap ascending blocks known to partition 0..order-1, skipping validation."""
+        p = object.__new__(cls)
+        p.order = order
+        p.blocks = tuple(sorted(map(tuple, blocks)))
+        block_of = [0] * order
+        for idx, block in enumerate(p.blocks):
+            for x in block:
+                block_of[x] = idx
+        p.block_of = tuple(block_of)
+        return p
+
+    @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Partition":
         """Group ids by label value (e.g. the fibers of a retraction)."""
         groups: dict[int, list[int]] = {}
@@ -204,14 +217,20 @@ def _first_failure(rows, ids) -> tuple[int, int, int] | None:
 
 
 def relabel_table(table: CayleyTable, images: Sequence[int]) -> CayleyTable:
-    """Apply the relabeling x -> images[x] to both the ids and the entries."""
+    """Apply the relabeling x -> images[x] to both the ids and the entries.
+
+    MalformedInput unless images is a permutation of 0..n-1.
+    """
     n = table.order
+    if sorted(images) != list(range(n)) or any(isinstance(y, bool) for y in images):
+        raise MalformedInput(f"not a permutation of 0..{n - 1}: {tuple(images)!r}")
     inv = [0] * n
     for x, y in enumerate(images):
         inv[y] = x
     rows = table.rows
-    return CayleyTable(
-        [[images[rows[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+    # a bijection carries a table of ids onto a table of ids
+    return CayleyTable._unchecked(
+        tuple(tuple([images[rows[inv[i]][inv[j]]] for j in range(n)]) for i in range(n))
     )
 
 
@@ -243,12 +262,12 @@ def compute_h(table: CayleyTable) -> Partition:
     a and b are related when a*x = b*x and x*a = x*b for every x, which is
     row a == row b together with column a == column b.
     """
-    return Partition(table.order, _h_blocks(table.rows))
+    return Partition._unchecked(table.order, _h_blocks(table.rows))
 
 
 def compute_psi(table: CayleyTable) -> Partition:
     """Products stay singletons; non-products are grouped by the h relation."""
-    return Partition(table.order, _psi_blocks(_h_blocks(table.rows), product_set(table)))
+    return Partition._unchecked(table.order, _psi_blocks(_h_blocks(table.rows), product_set(table)))
 
 
 def is_congruence(p: Partition, table: CayleyTable) -> CongruenceWitness | None:

@@ -138,16 +138,17 @@ def enumerate_semigroups(
         if sorted(cells) != sorted((i, j) for i in range(n) for j in range(n)):
             raise MalformedInput("cell_order must list every cell exactly once")
     grid = [[-1] * n for _ in range(n)]
+    last = len(cells) - 1
 
     def fill(k: int) -> Iterator[CayleyTable]:
-        if k == len(cells):
-            yield CayleyTable._unchecked(tuple(map(tuple, grid)))
-            return
         i, j = cells[k]
         row = grid[i]
         for v in _candidates(grid, n, i, j):
             row[j] = v
-            yield from fill(k + 1)
+            if k == last:  # every cell is set: a leaf
+                yield CayleyTable._unchecked(tuple(map(tuple, grid)))
+            else:
+                yield from fill(k + 1)
         row[j] = -1
 
     for table in fill(0):

@@ -44,6 +44,14 @@ class Transversal:
             if not 0 <= t < self.order:
                 raise MalformedInput(f"representative {t} outside 0..{self.order - 1}")
 
+    @classmethod
+    def _unchecked(cls, order: int, representatives: tuple[int, ...]) -> "Transversal":
+        """Wrap sorted distinct ids in 0..order-1, skipping validation."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "order", order)
+        object.__setattr__(t, "representatives", representatives)
+        return t
+
 
 @dataclass(frozen=True)
 class RetractionMap:
@@ -64,6 +72,14 @@ class RetractionMap:
         for t in self.transversal.representatives:
             if theta[t] != t:
                 raise MalformedInput(f"theta moves the representative {t}")
+
+    @classmethod
+    def _unchecked(cls, theta: tuple[int, ...], transversal: Transversal) -> "RetractionMap":
+        """Wrap a theta known to send every id onto a representative it fixes."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "theta", theta)
+        object.__setattr__(r, "transversal", transversal)
+        return r
 
 
 class InflationWitness(NamedTuple):
@@ -107,23 +123,30 @@ def choose_transversal(psi: Partition, policy: str = "least", seed: int | None =
     else:
         rng = random.Random(0 if seed is None else seed)
         reps = [rng.choice(b) for b in psi.blocks]
-    return Transversal(psi.order, tuple(sorted(reps)))
+    # one id from each block: distinct and in range
+    return Transversal._unchecked(psi.order, tuple(sorted(reps)))
+
+
+def _rep_of_block(psi: Partition, t: Transversal) -> list[int]:
+    """The representative of each block of psi; MalformedInput unless t holds one per block."""
+    if psi.order != t.order:
+        raise MalformedInput("partition and transversal orders differ")
+    reps = [-1] * len(psi.blocks)
+    for rep in t.representatives:
+        b = psi.block_of[rep]
+        if reps[b] != -1:
+            raise MalformedInput(f"two representatives in one block: {reps[b]}, {rep}")
+        reps[b] = rep
+    if -1 in reps:
+        raise MalformedInput("a block has no representative")
+    return reps
 
 
 def induced_retraction(psi: Partition, t: Transversal) -> RetractionMap:
     """Send every id to its block's representative."""
-    if psi.order != t.order:
-        raise MalformedInput("partition and transversal orders differ")
-    rep_of_block = [-1] * len(psi.blocks)
-    for rep in t.representatives:
-        b = psi.block_of[rep]
-        if rep_of_block[b] != -1:
-            raise MalformedInput(f"two representatives in one block: {rep_of_block[b]}, {rep}")
-        rep_of_block[b] = rep
-    if -1 in rep_of_block:
-        raise MalformedInput("a block has no representative")
-    theta = tuple(rep_of_block[psi.block_of[x]] for x in range(psi.order))
-    return RetractionMap(theta, t)
+    reps = _rep_of_block(psi, t)
+    # theta lands on the representatives, and each one is in its own block
+    return RetractionMap._unchecked(tuple([reps[b] for b in psi.block_of]), t)
 
 
 def retraction_from_theta(theta: Sequence[int]) -> RetractionMap:

@@ -11,6 +11,14 @@ permutes the classes", and the uniqueness of pi * tau_bar follows by
 counting |Aut| = |G| * |H|.  Nothing is listed, so the work grows with the
 search, not with |Aut|, and |G| has no cap.  One structure pass per table
 gives h, psi from it and the class position of every id, all reused.
+
+A reduced table, every psi class a singleton, has T = S, G = 1 and
+Aut = H-bar = H, and then there is one search: restricting to every id
+renumbers nothing and the class sizes are all 1, a colour every id shares,
+so the H search would build the same plan on the same table and return
+the same chain as the Aut search.  The pipeline's own partitions,
+transversal, retraction and listings are valid by construction and are
+built without re-validation; the public constructors keep every check.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .core import compute_psi  # noqa: F401  bench/tracing.py looks it up here
 from .errors import MalformedInput, NotAnAutomorphism, NotExtendable, OrderTooLarge
 from .inflation import (
     Transversal,
+    _rep_of_block,
     choose_transversal,
     induced_retraction,
     restrict_to_subsemigroup,
@@ -73,6 +82,14 @@ class ExtensionScheme:
         if len(seen) != self.order:
             raise MalformedInput("scheme does not cover every id")
 
+    @classmethod
+    def _unchecked(cls, order: int, listings: tuple[tuple[int, ...], ...]) -> "ExtensionScheme":
+        """Wrap listings known to satisfy the checks above, skipping them."""
+        scheme = object.__new__(cls)
+        object.__setattr__(scheme, "order", order)
+        object.__setattr__(scheme, "listings", listings)
+        return scheme
+
 
 def predicted_class_group_order(psi: Partition) -> int:
     """Product of the factorials of the psi class sizes."""
@@ -103,13 +120,13 @@ def psi_class_group(psi: Partition, *, max_group_order: int = DEFAULT_MAX_GROUP_
 
 def extension_scheme(psi: Partition, t: Transversal) -> ExtensionScheme:
     """Fix the canonical listings used by every extension and decomposition."""
-    if psi.order != t.order:
-        raise MalformedInput("partition and transversal orders differ")
+    _rep_of_block(psi, t)  # one representative per class, so the listings partition the ids
     listings = []
     for rep in t.representatives:
         block = psi.block_containing(rep)
-        listings.append((rep,) + tuple(x for x in block if x != rep))
-    return ExtensionScheme(psi.order, tuple(listings))
+        # a block is ascending, so it is its own listing when rep is its least id
+        listings.append(block if block[0] == rep else (rep, *[x for x in block if x != rep]))
+    return ExtensionScheme._unchecked(psi.order, tuple(listings))
 
 
 def extendable_automorphisms(
@@ -279,15 +296,17 @@ def verify_theorem(
     as pi * tau_bar, with tau its class action, a size-preserving
     automorphism of T that sifts through the H chain, and pi fixing every
     class; uniqueness then follows from |Aut| = |G| * |H|.  G is never
-    listed, so |G| has no cap; max_search bounds the nodes both searches
-    visit together.  All four flags are computed even when an earlier one
-    fails.
+    listed, so |G| has no cap.  When T is every id the H search would
+    repeat the Aut search exactly (see the module docstring), so the Aut
+    chain serves as H's and T's closure, then a tautology, is not checked;
+    otherwise max_search bounds the nodes both searches visit together.
+    All four flags are computed even when an earlier one fails.
     """
     n = table.order
     # first, so that the table-order cap refuses before any other work
     aut = _automorphism_chain(table, max_order=max_order, max_nodes=max_search)
     h_rel = compute_h(table)
-    psi = Partition(n, _psi_blocks(h_rel.blocks, product_set(table)))
+    psi = Partition._unchecked(n, _psi_blocks(h_rel.blocks, product_set(table)))
     predicted_g = predicted_class_group_order(psi)
     t = choose_transversal(psi, policy, seed)
     reps, pos = t.representatives, _class_positions(psi, t.representatives)
@@ -301,15 +320,18 @@ def verify_theorem(
     if bad_pair is not None:
         witnesses["kernel"] = f"theta identifies the h-unrelated pair {bad_pair}"
 
-    sub, _ = restrict_to_subsemigroup(table, reps)
     scheme = extension_scheme(psi, t)
-    class_sizes = tuple(map(len, scheme.listings))
-    try:
-        h = _automorphism_chain(
-            sub, class_sizes, max_order=max_order, max_nodes=max_search - aut.nodes
-        )
-    except OrderTooLarge as exc:  # the budget is shared, so report it whole
-        raise OrderTooLarge(exc.what, aut.nodes + exc.requested, max_search) from None
+    if len(reps) == n:
+        sub, h = table, aut  # T = S: the H search would repeat this one
+    else:
+        sub, _ = restrict_to_subsemigroup(table, reps)
+        class_sizes = tuple(map(len, scheme.listings))
+        try:
+            h = _automorphism_chain(
+                sub, class_sizes, max_order=max_order, max_nodes=max_search - aut.nodes
+            )
+        except OrderTooLarge as exc:  # the budget is shared, so report it whole
+            raise OrderTooLarge(exc.what, aut.nodes + exc.requested, max_search) from None
     h_bar = embed_h(PermGroup(sub.order, map(Permutation._unchecked, h.generators)), scheme)
 
     aut_order, h_order = aut.order, h.order

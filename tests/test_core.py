@@ -357,6 +357,25 @@ class TestRelabelTable:
         inv = [1, 2, 0]
         assert relabel_table(relabel_table(Z3, sigma), inv) == Z3
 
+    @pytest.mark.parametrize(
+        "images", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3], [False, True, 2]]
+    )
+    def test_rejects_a_non_bijection(self, images):
+        with pytest.raises(MalformedInput, match="not a permutation"):
+            relabel_table(Z3, images)
+
+    def test_equals_the_validated_construction(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            table = CayleyTable([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+            sigma = rng.sample(range(n), n)
+            inv = [sigma.index(x) for x in range(n)]
+            rows = [[sigma[table.rows[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+            relabeled = relabel_table(table, sigma)
+            assert relabeled == CayleyTable(rows)
+            assert all(type(row) is tuple for row in relabeled.rows)
+
 
 def test_every_public_name_is_exported():
     bound = {

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from finsemi import (
     CayleyTable,
     EnumerationTask,
+    ExtensionScheme,
     FiberSizeSpec,
     MalformedInput,
     NotAnAutomorphism,
@@ -20,9 +22,12 @@ from finsemi import (
     Partition,
     PermGroup,
     Permutation,
+    RetractionMap,
+    Transversal,
     build_inflation,
     choose_transversal,
     compose,
+    compute_h,
     compute_psi,
     decompose_automorphism,
     embed_h,
@@ -32,6 +37,7 @@ from finsemi import (
     extendable_automorphisms,
     extension_scheme,
     identity,
+    induced_retraction,
     inverse,
     is_automorphism,
     predicted_class_group_order,
@@ -40,7 +46,7 @@ from finsemi import (
     restrict_to_subsemigroup,
     verify_theorem,
 )
-from finsemi import automorphisms, theorem
+from finsemi import automorphisms, core, theorem
 from finsemi.inflation import POLICIES, InflationWitness
 from support import (
     FIXTURES,
@@ -131,6 +137,70 @@ class TestExtensionScheme:
                     assert listing[0] == rep
                     assert sorted(listing) == list(psi.block_containing(rep))
                     assert list(listing[1:]) == sorted(listing[1:])
+
+    @pytest.mark.parametrize("reps", [(0, 1, 2), (0, 1, 2, 3, 4)], ids=["missing", "doubled"])
+    def test_rejects_a_transversal_without_one_id_per_class(self, reps):
+        psi = compute_psi(S6)
+        with pytest.raises(MalformedInput):
+            extension_scheme(psi, Transversal(6, reps))
+
+
+def _with_identity(table):
+    """The table with an identity element adjoined as the last id."""
+    n = table.order
+    return CayleyTable([list(row) + [x] for x, row in enumerate(table.rows)] + [list(range(n + 1))])
+
+
+def _direct_product(a, b):
+    """a x b with (x, y) numbered x * |b| + y."""
+    m = b.order
+    return CayleyTable(
+        [
+            [a.rows[x // m][y // m] * m + b.rows[x % m][y % m] for y in range(a.order * m)]
+            for x in range(a.order * m)
+        ]
+    )
+
+
+def _inflation(data):
+    """A Hypothesis-drawn inflation of an order <= 3 base, at most order 7, relabelled."""
+    base = data.draw(st.sampled_from(SMALL_SEMIGROUPS))
+    sizes = [1] * base.order
+    for _ in range(data.draw(st.integers(0, 7 - base.order))):
+        sizes[data.draw(st.integers(0, base.order - 1))] += 1
+    inflated, _ = build_inflation(FiberSizeSpec(base, tuple(sizes)))
+    return relabel_table(inflated, data.draw(st.permutations(range(inflated.order))))
+
+
+class TestUncheckedConstructors:
+    """What the pipeline builds unchecked equals what the validating constructors build."""
+
+    def check(self, table):
+        n = table.order
+        h_blocks = core._h_blocks(table.rows)
+        psi_blocks = core._psi_blocks(h_blocks, core.product_set(table))
+        for built, blocks in ((compute_h(table), h_blocks), (compute_psi(table), psi_blocks)):
+            checked = Partition(n, blocks)
+            assert built == checked
+            assert (built.blocks, built.block_of) == (checked.blocks, checked.block_of)
+        psi = compute_psi(table)
+        for policy in POLICIES:
+            t = choose_transversal(psi, policy, seed=7)
+            assert t == Transversal(n, t.representatives)
+            r = induced_retraction(psi, t)
+            assert r == RetractionMap(r.theta, t)
+            scheme = extension_scheme(psi, t)
+            assert scheme == ExtensionScheme(n, scheme.listings)
+
+    def test_every_semigroup_of_order_at_most_four(self, corpus_by_order):
+        for tables in corpus_by_order.values():
+            for table in tables:
+                self.check(table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_inflations_relabelled(self, data):
+        self.check(_inflation(data))
 
 
 class TestExtendableAutomorphisms:
@@ -346,6 +416,14 @@ class TestVerifyTheorem:
             assert len(summary) == 1
             assert all(r.all_flags for r in reports)
 
+    def test_policy_invariance_on_every_table_of_order_at_most_four(self, corpus_by_order):
+        for tables in corpus_by_order.values():
+            for table in tables:
+                least, *others = [verify_theorem(table, policy, seed=9) for policy in POLICIES]
+                assert least.all_flags and least.witnesses == ()
+                for report in others:
+                    assert replace(report, transversal_used=least.transversal_used) == least
+
     def test_order_bound(self):
         big = CayleyTable([[0] * 13 for _ in range(13)])
         with pytest.raises(OrderTooLarge):
@@ -369,6 +447,54 @@ class TestVerifyTheorem:
             nodes,
             nodes - 1,
         )
+
+    def test_one_search_when_reduced_two_when_proper(self, monkeypatch):
+        searched = []
+        search = theorem._automorphism_chain
+
+        def counted(table, *args, **kwargs):
+            searched.append(table)
+            return search(table, *args, **kwargs)
+
+        monkeypatch.setattr(theorem, "_automorphism_chain", counted)
+        assert verify_theorem(Z3).all_flags
+        assert searched == [Z3]
+        searched.clear()
+        assert verify_theorem(S6).all_flags
+        assert len(searched) == 2 and searched[0] is S6
+
+    def test_reduced_table_spends_the_budget_once(self):
+        # T = S, so the Aut chain serves as H and the budget pays for one search
+        nodes = theorem._automorphism_chain(Z3).nodes
+        assert verify_theorem(Z3, max_search=nodes).all_flags
+        with pytest.raises(OrderTooLarge):
+            verify_theorem(Z3, max_search=nodes - 1)
+
+    def test_h_chain_is_the_aut_chain_on_reduced_tables(self, corpus_by_order):
+        reduced = [
+            t
+            for tables in corpus_by_order.values()
+            for t in tables
+            if len(compute_psi(t).blocks) == t.order
+        ]
+        assert len(reduced) == 1 + 8 + 110 + 3404
+        search = theorem._automorphism_chain
+        for table in reduced:
+            assert search(table, (1,) * table.order) == search(table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_h_chain_is_the_aut_chain_on_relabelled_monoid_products(self, data):
+        # every element x = x * 1 of a monoid is a product, so a monoid is reduced
+        a = _with_identity(data.draw(st.sampled_from(SMALL_SEMIGROUPS)))
+        b = _with_identity(
+            data.draw(st.sampled_from([t for t in SMALL_SEMIGROUPS if t.order < 8 // a.order]))
+        )
+        product = _direct_product(a, b)
+        table = relabel_table(product, data.draw(st.permutations(range(product.order))))
+        assert table.order <= 8 and len(compute_psi(table).blocks) == table.order
+        search = theorem._automorphism_chain
+        assert search(table, (1,) * table.order) == search(table)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_left_zero_within_default_caps_in_under_a_second(self, n):
@@ -464,13 +590,7 @@ class TestVerifyTheorem:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_inflations_relabelled(self, data):
-        base = data.draw(st.sampled_from(SMALL_SEMIGROUPS))
-        sizes = [1] * base.order
-        for _ in range(data.draw(st.integers(0, 7 - base.order))):
-            sizes[data.draw(st.integers(0, base.order - 1))] += 1
-        inflated, _ = build_inflation(FiberSizeSpec(base, tuple(sizes)))
-        images = data.draw(st.permutations(range(inflated.order)))
-        table = relabel_table(inflated, images)
+        table = _inflation(data)
         report = verify_theorem(table)
         assert report.all_flags, report.witnesses
         psi = compute_psi(table)
