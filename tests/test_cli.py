@@ -303,6 +303,17 @@ class TestCorpus:
         assert captured.out == ""
         assert captured.err == "finsemi: enumeration order 5 exceeds the configured limit 4\n"
 
+    def test_refused_up_to_iso_run_leaves_the_report_file_untouched(self, tmp_path, capsys):
+        # the order passes --max-order but not the canonicalization cap
+        report = tmp_path / "report.jsonl"
+        report.write_bytes(b"kept\n")
+        argv = ["corpus", "--order", "7", "--mode", "up-to-iso", "--max-order", "7"]
+        assert main([*argv, "--report", str(report)]) == 3
+        assert report.read_bytes() == b"kept\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "finsemi: canonicalization order 7 exceeds the configured limit 6\n"
+
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_summary_is_byte_identical_between_runs(self, capsys, fmt):
         outs = []

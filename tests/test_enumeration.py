@@ -19,7 +19,7 @@ from finsemi import (
     parse_table,
     relabel_table,
 )
-from finsemi.enumeration import _candidates
+from finsemi.enumeration import _candidates, check_enumeration_order
 from support import (
     N3,
     naive_canonical_rows,
@@ -62,14 +62,26 @@ def partial_grids(seed: int, count: int):
         yield grid, i, j
 
 
+def value_index(grid) -> list[list[tuple[int, int]]]:
+    """The fill's index: entry v lists the set cells of the grid that hold v."""
+    at = [[] for _ in grid]
+    for i, row in enumerate(grid):
+        for j, v in enumerate(row):
+            if v >= 0:
+                at[v].append((i, j))
+    return at
+
+
 class TestCandidates:
     def test_matches_naive_oracle_on_random_partial_grids(self):
         seen = {"i == j": 0, "none": 0, "only i": 0, "several": 0}
         for grid, i, j in partial_grids(61, 1000):
             before = [row[:] for row in grid]
-            got = _candidates(grid, len(grid), i, j)
+            at = value_index(grid)
+            got = _candidates(grid, at, i, j)
             assert got == naive_cell_candidates(before, i, j), (before, i, j)
             assert grid == before
+            assert at == value_index(before)
             seen["i == j"] += i == j
             seen["none"] += not got
             seen["only i"] += got == [i]
@@ -96,8 +108,10 @@ class TestCandidates:
     def test_hand_built_cells(self, rows, i, j, expected):
         grid = [row[:] for row in rows]
         assert naive_cell_candidates(rows, i, j) == expected
-        assert _candidates(grid, len(grid), i, j) == expected
+        at = value_index(grid)
+        assert _candidates(grid, at, i, j) == expected
         assert grid == rows
+        assert at == value_index(rows)
 
 
 class TestEnumerationTask:
@@ -163,6 +177,9 @@ class TestEnumerateSemigroups:
     def test_order_bound(self):
         with pytest.raises(OrderTooLarge):
             list(enumerate_semigroups(EnumerationTask(5)))
+        with pytest.raises(OrderTooLarge, match="^canonicalization order 7 "):
+            check_enumeration_order(EnumerationTask(7, mode="up_to_iso"), 7)
+        check_enumeration_order(EnumerationTask(7), 7)
         # explicit override allows more
         gen = enumerate_semigroups(EnumerationTask(5), max_order=5)
         next(gen)
@@ -195,7 +212,53 @@ class TestUpToIso:
         assert [t.rows for t in reps] == sorted(set(naive_canonical_by_order[4]))
 
 
+def anchor_strata(rows) -> tuple[str, str]:
+    """How many idempotents, and which second entry the least first entry allows.
+
+    The first entry is sigma(aa) for a = sigma^-1(0), b = sigma^-1(1): 0 from an
+    idempotent a (b any other id), else 1 from b = aa.  Over those pairs the
+    second entry sigma(ab) is 0 when ab = a and 1 when ab = b.
+    """
+    n = len(rows)
+    idempotents = [a for a in range(n) if rows[a][a] == a]
+    if idempotents:
+        pairs = [(a, b) for a in idempotents for b in range(n) if b != a]
+    else:
+        pairs = [(a, rows[a][a]) for a in range(n)]
+    count = ("none", "one", "several")[min(len(idempotents), 2)]
+    if any(rows[a][b] == a for a, b in pairs):
+        return count, "ab = a"
+    if any(rows[a][b] == b for a, b in pairs):
+        return count, "only ab = b"
+    return count, "neither"
+
+
+def seeded_magmas(seed: int, count: int):
+    """Tables of orders 1..5, entries drawn from a random subset of the ids.
+
+    Few distinct entries make idempotents and ab in {a, b} common, many make
+    them rare, so every anchor stratum is reached.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        values = rng.sample(range(n), rng.randint(1, n))
+        yield [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+
+
 class TestCanonicalize:
+    def test_matches_naive_oracle_in_every_anchor_stratum(self):
+        # canonicalize reads only the relabelings whose first two entries can
+        # be least; the oracle reads all n! of them
+        seen: dict[str, int] = {}
+        for rows in seeded_magmas(67, 900):
+            assert canonicalize(CayleyTable(rows)).rows == naive_canonical_rows(rows), rows
+            for stratum in anchor_strata(rows):
+                seen[stratum] = seen.get(stratum, 0) + 1
+        strata = ("none", "one", "several", "ab = a", "only ab = b", "neither")
+        assert set(seen) == set(strata)
+        assert min(seen.values()) >= 30, seen
+
     def test_idempotent(self, corpus_by_order):
         for table in corpus_by_order[3][::11]:
             c = canonicalize(table)
