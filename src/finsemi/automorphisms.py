@@ -279,6 +279,12 @@ class _Chain(NamedTuple):
         return [Permutation._unchecked(images) for images in group]
 
 
+def check_table_order(n: int, max_order: int = DEFAULT_MAX_ORDER):
+    """Raise OrderTooLarge when a table of order n is over the search cap."""
+    if n > max_order:
+        raise OrderTooLarge("table order", n, max_order)
+
+
 def _automorphism_chain(
     table: CayleyTable,
     extra: Sequence | None = None,
@@ -300,8 +306,7 @@ def _automorphism_chain(
     automorphism.  Each visited node counts against max_nodes.
     """
     n = table.order
-    if n > max_order:
-        raise OrderTooLarge("table order", n, max_order)
+    check_table_order(n, max_order)
     colours = _colours(table)
     if extra is not None:
         colours = [c + (e,) for c, e in zip(colours, extra)]

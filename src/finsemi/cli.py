@@ -30,7 +30,7 @@ from .enumeration import (
     corpus_verify,
     enumerate_semigroups,
 )
-from .errors import FinsemiError, OrderTooLarge
+from .errors import FinsemiError, NotAssociative, OrderTooLarge
 from .inflation import (
     DEFAULT_MAX_INFLATION_ORDER,
     build_inflation,
@@ -40,7 +40,7 @@ from .inflation import (
     verify_inflation,
 )
 from .theorem import verify_theorem
-from .automorphisms import DEFAULT_MAX_ORDER, enumerate_automorphisms
+from .automorphisms import DEFAULT_MAX_ORDER, check_table_order, enumerate_automorphisms
 
 
 def _read_input(path: str) -> str:
@@ -48,6 +48,16 @@ def _read_input(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="ascii") as fh:
         return fh.read()
+
+
+def _read_capped_table(args):
+    """Parse the input and refuse it by --max-order before the associativity scan."""
+    table = parse_table(_read_input(args.input), require_associative=False)
+    check_table_order(table.order, args.max_order)
+    witness = check_associativity(table)
+    if witness is not None:
+        raise NotAssociative(witness)
+    return table
 
 
 def _cmd_check(args) -> int:
@@ -110,7 +120,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    table = parse_table(_read_input(args.input))
+    table = _read_capped_table(args)
     group = enumerate_automorphisms(table, max_order=args.max_order)
     if args.format == "structured":
         print(
@@ -130,7 +140,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    table = parse_table(_read_input(args.input))
+    table = _read_capped_table(args)
     report = verify_theorem(table, args.policy, args.seed, max_order=args.max_order)
     if args.format == "structured":
         print(json.dumps(report.to_json_dict()))

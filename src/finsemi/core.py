@@ -101,14 +101,6 @@ class Partition:
         p.block_of = tuple(block_of)
         return p
 
-    @classmethod
-    def from_labels(cls, labels: Sequence[int]) -> "Partition":
-        """Group ids by label value (e.g. the fibers of a retraction)."""
-        groups: dict[int, list[int]] = {}
-        for x, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(x)
-        return cls(len(labels), groups.values())
-
     def related(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]
 

@@ -122,25 +122,16 @@ def check_enumeration_order(task: EnumerationTask, max_order: int = DEFAULT_MAX_
 
 
 def enumerate_semigroups(
-    task: EnumerationTask,
-    *,
-    max_order: int = DEFAULT_MAX_ENUM_ORDER,
-    cell_order: list[tuple[int, int]] | None = None,
+    task: EnumerationTask, *, max_order: int = DEFAULT_MAX_ENUM_ORDER
 ) -> Iterator[CayleyTable]:
     """Yield every associative table of the given order, in a fixed order.
 
-    The default cell order is row-major with values tried ascending, so the
-    labelled stream is lexicographic and identical between runs.  cell_order
-    exists to cross-check the search with a different fill sequence.
+    The cells are filled row-major with values tried ascending, so the
+    labelled stream is lexicographic and identical between runs.
     """
     check_enumeration_order(task, max_order)
     n = task.order
-    if cell_order is None:
-        cells = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        cells = list(cell_order)
-        if sorted(cells) != sorted((i, j) for i in range(n) for j in range(n)):
-            raise MalformedInput("cell_order must list every cell exactly once")
+    cells = [(i, j) for i in range(n) for j in range(n)]
     grid = [[-1] * n for _ in range(n)]
     at: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # at[v]: the set cells holding v
     last = len(cells) - 1
@@ -185,7 +176,7 @@ def _relabel_plan(n: int) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], t
     return plan
 
 
-def canonicalize(table: CayleyTable, *, max_order: int = DEFAULT_MAX_CANON_ORDER) -> CayleyTable:
+def canonicalize(table: CayleyTable) -> CayleyTable:
     """Least relabeling of the table, comparing row-major encodings.
 
     A relabeling sigma with sigma(a) = 0 and sigma(b) = 1 starts its
@@ -194,11 +185,12 @@ def canonicalize(table: CayleyTable, *, max_order: int = DEFAULT_MAX_CANON_ORDER
     with 0 when some a is idempotent (b any other id), else with 1 (b = aa),
     and over those pairs its second entry is 0 when some ab = a, else 1 when
     some ab = b.  Only the pairs (a, b) that reach that start are read, all
-    of them when neither product occurs.  No axiom is assumed.
+    of them when neither product occurs.  No axiom is assumed.  Orders over
+    DEFAULT_MAX_CANON_ORDER are refused.
     """
     n = table.order
-    if n > max_order:
-        raise OrderTooLarge("canonicalization order", n, max_order)
+    if n > DEFAULT_MAX_CANON_ORDER:
+        raise OrderTooLarge("canonicalization order", n, DEFAULT_MAX_CANON_ORDER)
     rows = table.rows
     idempotents = [a for a in range(n) if rows[a][a] == a]
     if idempotents:

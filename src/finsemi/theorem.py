@@ -96,17 +96,18 @@ def predicted_class_group_order(psi: Partition) -> int:
     return math.prod(math.factorial(len(b)) for b in psi.blocks)
 
 
-def psi_class_group(psi: Partition, *, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
+def psi_class_group(psi: Partition) -> PermGroup:
     """All permutations fixing every psi class setwise.
 
     Built as the direct product of the symmetric groups on the individual
     blocks; singleton blocks contribute nothing, and distinct choices of
-    block permutations give distinct products.
+    block permutations give distinct products.  A group of more than
+    DEFAULT_MAX_GROUP_ORDER elements is refused before any is built.
     """
     n = psi.order
     predicted = predicted_class_group_order(psi)
-    if predicted > max_group_order:
-        raise OrderTooLarge("class group order", predicted, max_group_order)
+    if predicted > DEFAULT_MAX_GROUP_ORDER:
+        raise OrderTooLarge("class group order", predicted, DEFAULT_MAX_GROUP_ORDER)
     nontrivial = [b for b in psi.blocks if len(b) > 1]
     elements = []
     for choice in itertools.product(*(itertools.permutations(b) for b in nontrivial)):
@@ -130,10 +131,7 @@ def extension_scheme(psi: Partition, t: Transversal) -> ExtensionScheme:
 
 
 def extendable_automorphisms(
-    t_table: CayleyTable,
-    class_sizes: tuple[int, ...] | list[int],
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
+    t_table: CayleyTable, class_sizes: tuple[int, ...] | list[int]
 ) -> PermGroup:
     """Automorphisms of the transversal table preserving the class sizes.
 
@@ -143,7 +141,7 @@ def extendable_automorphisms(
     """
     if len(class_sizes) != t_table.order:
         raise MalformedInput("one class size per transversal id required")
-    chain = _automorphism_chain(t_table, class_sizes, max_order=max_order)
+    chain = _automorphism_chain(t_table, class_sizes)
     return PermGroup(t_table.order, chain.elements())
 
 
@@ -280,7 +278,6 @@ def verify_theorem(
     seed: int | None = None,
     *,
     max_order: int = DEFAULT_MAX_ORDER,
-    max_search: int = DEFAULT_MAX_SEARCH,
 ) -> TheoremReport:
     """Run the whole pipeline on one table and check every claim.
 
@@ -299,12 +296,14 @@ def verify_theorem(
     listed, so |G| has no cap.  When T is every id the H search would
     repeat the Aut search exactly (see the module docstring), so the Aut
     chain serves as H's and T's closure, then a tautology, is not checked;
-    otherwise max_search bounds the nodes both searches visit together.
-    All four flags are computed even when an earlier one fails.
+    otherwise the module's DEFAULT_MAX_SEARCH, read at call time, bounds
+    the nodes both searches visit together.  All four flags are computed
+    even when an earlier one fails.
     """
     n = table.order
+    budget = DEFAULT_MAX_SEARCH
     # first, so that the table-order cap refuses before any other work
-    aut = _automorphism_chain(table, max_order=max_order, max_nodes=max_search)
+    aut = _automorphism_chain(table, max_order=max_order, max_nodes=budget)
     h_rel = compute_h(table)
     psi = Partition._unchecked(n, _psi_blocks(h_rel.blocks, product_set(table)))
     predicted_g = predicted_class_group_order(psi)
@@ -328,10 +327,10 @@ def verify_theorem(
         class_sizes = tuple(map(len, scheme.listings))
         try:
             h = _automorphism_chain(
-                sub, class_sizes, max_order=max_order, max_nodes=max_search - aut.nodes
+                sub, class_sizes, max_order=max_order, max_nodes=budget - aut.nodes
             )
         except OrderTooLarge as exc:  # the budget is shared, so report it whole
-            raise OrderTooLarge(exc.what, aut.nodes + exc.requested, max_search) from None
+            raise OrderTooLarge(exc.what, aut.nodes + exc.requested, budget) from None
     h_bar = embed_h(PermGroup(sub.order, map(Permutation._unchecked, h.generators)), scheme)
 
     aut_order, h_order = aut.order, h.order

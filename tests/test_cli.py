@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from finsemi import format_table, verify_theorem
+from finsemi import CayleyTable, cli, format_table, verify_theorem
 from finsemi.cli import main
 from support import L2, N3, S6
 
@@ -192,6 +192,41 @@ class TestVerifyTheorem:
 
     def test_malformed(self, tmp_path):
         assert main(["verify-theorem", write(tmp_path, "bad", "junk")]) == 2
+
+
+class TestOrderCapBeforeAssociativity:
+    """aut and verify-theorem refuse an oversized table before scanning it."""
+
+    OVER_CAP = "finsemi: table order 13 exceeds the configured limit 12\n"
+
+    @staticmethod
+    def non_associative_text(n):
+        rows = [[0] * n for _ in range(n)]
+        rows[0][1] = 1  # (0*2)*1 = 1 but 0*(2*1) = 0
+        return format_table(CayleyTable(rows))
+
+    @pytest.mark.parametrize("command", ["aut", "verify-theorem"])
+    def test_refused_without_the_associativity_scan(self, tmp_path, capsys, monkeypatch, command):
+        def unreachable(table):
+            raise AssertionError("the associativity scan ran before the order cap")
+
+        monkeypatch.setattr(cli, "check_associativity", unreachable)
+        assert main([command, write(tmp_path, "l13", left_zero_text(13))]) == 3
+        assert capsys.readouterr() == ("", self.OVER_CAP)
+
+    @pytest.mark.parametrize("command", ["aut", "verify-theorem"])
+    def test_non_associative_table_over_the_cap_is_refused(self, tmp_path, capsys, command):
+        assert main([command, write(tmp_path, "bad13", self.non_associative_text(13))]) == 3
+        assert capsys.readouterr() == ("", self.OVER_CAP)
+
+    @pytest.mark.parametrize("command", ["aut", "verify-theorem"])
+    def test_non_associative_table_within_the_cap_is_unusable(self, tmp_path, capsys, command):
+        for text, witness in [
+            (NON_ASSOC_TEXT, "(1*0)*1 != 1*(0*1)"),
+            (self.non_associative_text(12), "(0*2)*1 != 0*(2*1)"),
+        ]:
+            assert main([command, write(tmp_path, "bad", text)]) == 2
+            assert capsys.readouterr() == ("", f"finsemi: not associative: {witness}\n")
 
 
 class TestBuildInflation:

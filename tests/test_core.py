@@ -320,11 +320,6 @@ class TestIsCongruence:
 
 
 class TestPartition:
-    def test_from_labels(self):
-        p = Partition.from_labels([0, 1, 1, 0])
-        assert p.blocks == ((0, 3), (1, 2))
-        assert p.block_of == (0, 1, 1, 0)
-
     def test_normalization(self):
         assert Partition(3, [[2, 1], [0]]).blocks == ((0,), (1, 2))
 

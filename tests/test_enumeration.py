@@ -34,12 +34,6 @@ def naive_canonical_by_order(corpus_by_order) -> dict[int, list]:
     return {n: [naive_canonical_rows(t.rows) for t in ts] for n, ts in corpus_by_order.items()}
 
 
-def shuffled_cells(n: int, seed: int) -> list[tuple[int, int]]:
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    random.Random(seed).shuffle(cells)
-    return cells
-
-
 def partial_grids(seed: int, count: int):
     """Seeded consistent partial tables, n = 2..5, with one unset cell each.
 
@@ -162,18 +156,6 @@ class TestEnumerateSemigroups:
         rows = [t.rows for t in corpus_by_order[n]]
         assert all(a < b for a, b in zip(rows, rows[1:]))
 
-    def test_cell_order_does_not_change_the_set(self):
-        naive = naive_semigroup_rows(3)
-        for seed in (43, 44, 45, 46):
-            shuffled = enumerate_semigroups(EnumerationTask(3), cell_order=shuffled_cells(3, seed))
-            assert {t.rows for t in shuffled} == naive
-
-    def test_cell_order_does_not_change_the_set_at_order_four(self, corpus_by_order):
-        column_major = [(i, j) for j in range(4) for i in range(4)]
-        for cells in (shuffled_cells(4, 53), column_major):
-            tables = set(enumerate_semigroups(EnumerationTask(4), cell_order=cells))
-            assert tables == set(corpus_by_order[4])
-
     def test_order_bound(self):
         with pytest.raises(OrderTooLarge):
             list(enumerate_semigroups(EnumerationTask(5)))
@@ -293,7 +275,6 @@ class TestCanonicalize:
         big = CayleyTable([[0] * 7 for _ in range(7)])
         with pytest.raises(OrderTooLarge):
             canonicalize(big)
-        assert canonicalize(big, max_order=7) == big
 
 
 class TestCorpusVerify:

@@ -108,7 +108,7 @@ class TestPsiClassGroup:
     def test_group_order_bound(self):
         wide = Partition(9, [list(range(9))])
         with pytest.raises(OrderTooLarge):
-            psi_class_group(wide, max_group_order=10**5)
+            psi_class_group(wide)
 
 
 class TestExtensionScheme:
@@ -429,19 +429,22 @@ class TestVerifyTheorem:
         with pytest.raises(OrderTooLarge):
             verify_theorem(big)
 
-    def test_search_bound(self):
+    def test_search_bound(self, monkeypatch):
+        monkeypatch.setattr(theorem, "DEFAULT_MAX_SEARCH", 1)
         with pytest.raises(OrderTooLarge):
-            verify_theorem(S6, max_search=1)
+            verify_theorem(S6)
 
-    def test_search_budget_counts_the_nodes_of_both_searches(self):
+    def test_search_budget_counts_the_nodes_of_both_searches(self, monkeypatch):
         psi, t, _ = s6_frame()
         sub, old_ids = restrict_to_subsemigroup(S6, t.representatives)
         sizes = tuple(len(psi.block_containing(x)) for x in old_ids)
         search = theorem._automorphism_chain
         nodes = search(S6).nodes + search(sub, sizes).nodes
-        assert verify_theorem(S6, max_search=nodes).all_flags
+        monkeypatch.setattr(theorem, "DEFAULT_MAX_SEARCH", nodes)
+        assert verify_theorem(S6).all_flags
+        monkeypatch.setattr(theorem, "DEFAULT_MAX_SEARCH", nodes - 1)
         with pytest.raises(OrderTooLarge) as info:
-            verify_theorem(S6, max_search=nodes - 1)
+            verify_theorem(S6)
         assert (info.value.what, info.value.requested, info.value.limit) == (
             "search nodes",
             nodes,
@@ -463,12 +466,14 @@ class TestVerifyTheorem:
         assert verify_theorem(S6).all_flags
         assert len(searched) == 2 and searched[0] is S6
 
-    def test_reduced_table_spends_the_budget_once(self):
+    def test_reduced_table_spends_the_budget_once(self, monkeypatch):
         # T = S, so the Aut chain serves as H and the budget pays for one search
         nodes = theorem._automorphism_chain(Z3).nodes
-        assert verify_theorem(Z3, max_search=nodes).all_flags
+        monkeypatch.setattr(theorem, "DEFAULT_MAX_SEARCH", nodes)
+        assert verify_theorem(Z3).all_flags
+        monkeypatch.setattr(theorem, "DEFAULT_MAX_SEARCH", nodes - 1)
         with pytest.raises(OrderTooLarge):
-            verify_theorem(Z3, max_search=nodes - 1)
+            verify_theorem(Z3)
 
     def test_h_chain_is_the_aut_chain_on_reduced_tables(self, corpus_by_order):
         reduced = [
