@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import CayleyTable
+from .core import CayleyTable, product_set
 from .errors import MalformedInput, OrderTooLarge
 
 DEFAULT_MAX_ORDER = 12
@@ -160,7 +160,7 @@ def is_automorphism(table: CayleyTable, p: Permutation) -> bool:
 def _colours(table: CayleyTable) -> list[tuple[bool, bool]]:
     """Per id: (is a product, is idempotent); every automorphism keeps both."""
     rows = table.rows
-    products = {v for row in rows for v in row}
+    products = product_set(table)
     return [(x in products, rows[x][x] == x) for x in range(table.order)]
 
 

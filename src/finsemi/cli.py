@@ -22,6 +22,7 @@ from .core import (
     format_table,
     parse_table,
     product_set,
+    refuse_non_associative,
 )
 from .enumeration import (
     DEFAULT_MAX_ENUM_ORDER,
@@ -30,13 +31,13 @@ from .enumeration import (
     corpus_verify,
     enumerate_semigroups,
 )
-from .errors import FinsemiError, NotAssociative, OrderTooLarge
+from .errors import FinsemiError, OrderTooLarge
 from .inflation import (
     DEFAULT_MAX_INFLATION_ORDER,
+    _read_fiber_spec,
     build_inflation,
     choose_transversal,
     induced_retraction,
-    parse_fiber_spec,
     verify_inflation,
 )
 from .theorem import verify_theorem
@@ -54,9 +55,7 @@ def _read_capped_table(args):
     """Parse the input and refuse it by --max-order before the associativity scan."""
     table = parse_table(_read_input(args.input), require_associative=False)
     check_table_order(table.order, args.max_order)
-    witness = check_associativity(table)
-    if witness is not None:
-        raise NotAssociative(witness)
+    refuse_non_associative(table)
     return table
 
 
@@ -150,8 +149,10 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_build_inflation(args) -> int:
-    spec = parse_fiber_spec(_read_input(args.input))
+    spec = _read_fiber_spec(_read_input(args.input))
+    # the order cap refuses before the base's associativity scan
     table, r = build_inflation(spec, max_order=args.max_order)
+    refuse_non_associative(spec.base)
     if args.format == "structured":
         print(
             json.dumps(

@@ -169,9 +169,7 @@ def parse_table(text: str, *, require_associative: bool = True) -> CayleyTable:
     if used != len(lines):
         raise MalformedInput(f"trailing data after the table: {lines[used]!r}")
     if require_associative:
-        witness = check_associativity(table)
-        if witness is not None:
-            raise NotAssociative(witness)
+        refuse_non_associative(table)
     return table
 
 
@@ -193,6 +191,13 @@ def check_associativity(table: CayleyTable) -> tuple[int, int, int] | None:
     if len(reps) < table.order and _first_failure(rows, reps) is None:
         return None
     return _first_failure(rows, range(table.order))
+
+
+def refuse_non_associative(table: CayleyTable) -> None:
+    """NotAssociative with the least failing triple unless the table is associative."""
+    witness = check_associativity(table)
+    if witness is not None:
+        raise NotAssociative(witness)
 
 
 def _first_failure(rows, ids) -> tuple[int, int, int] | None:

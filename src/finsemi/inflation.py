@@ -15,12 +15,12 @@ from typing import NamedTuple, Sequence
 from .core import (
     CayleyTable,
     Partition,
-    check_associativity,
     data_lines,
     format_table,
+    refuse_non_associative,
     table_from_lines,
 )
-from .errors import MalformedInput, NotAssociative, NotClosed, OrderTooLarge
+from .errors import MalformedInput, NotClosed, OrderTooLarge
 
 POLICIES = ("least", "greatest", "seeded")
 DEFAULT_MAX_INFLATION_ORDER = 12
@@ -247,12 +247,16 @@ def build_inflation(
 
 
 def parse_fiber_spec(text: str) -> FiberSizeSpec:
-    """Parse the base table followed by one `sizes:` line."""
+    """Parse the base table followed by one `sizes:` line; the base must be associative."""
+    spec = _read_fiber_spec(text)
+    refuse_non_associative(spec.base)
+    return spec
+
+
+def _read_fiber_spec(text: str) -> FiberSizeSpec:
+    """parse_fiber_spec without the associativity scan of the base."""
     lines = data_lines(text)
     base, used = table_from_lines(lines)
-    bad = check_associativity(base)
-    if bad is not None:
-        raise NotAssociative(bad)
     rest = lines[used:]
     if len(rest) != 1 or not rest[0].startswith("sizes:"):
         raise MalformedInput("expected exactly one `sizes:` line after the table")

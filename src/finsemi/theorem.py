@@ -255,19 +255,15 @@ class TheoremReport:
         }
 
     def to_text(self) -> str:
-        lines = [
-            f"order: {self.order}",
-            "psi_class_sizes: " + " ".join(map(str, self.psi_class_sizes)),
-            f"aut_order: {self.aut_order}",
-            f"h_order: {self.h_order}",
-            f"g_order: {self.g_order}",
-            f"identity_holds: {str(self.identity_holds).lower()}",
-            f"g_is_normal: {str(self.g_is_normal).lower()}",
-            f"intersection_trivial: {str(self.intersection_trivial).lower()}",
-            f"factorization_unique: {str(self.factorization_unique).lower()}",
-            "transversal_used: " + " ".join(map(str, self.transversal_used)),
-            f"witnesses: {len(self.witnesses)}",
-        ]
+        lines = []
+        for key, value in self.to_json_dict().items():
+            if isinstance(value, bool):
+                value = str(value).lower()
+            elif isinstance(value, list):
+                value = " ".join(map(str, value))
+            elif isinstance(value, dict):  # the witnesses: a count here, a line each below
+                value = len(value)
+            lines.append(f"{key}: {value}")
         lines.extend(f"witness {k}: {v}" for k, v in self.witnesses)
         return "\n".join(lines) + "\n"
 
@@ -290,15 +286,15 @@ def verify_theorem(
     strong generator permutes the classes.  H-bar lies in Aut when each
     lifted H generator is an automorphism, and meets G trivially when each
     is the lift of its own class action.  Each strong generator phi splits
-    as pi * tau_bar, with tau its class action, a size-preserving
-    automorphism of T that sifts through the H chain, and pi fixing every
-    class; uniqueness then follows from |Aut| = |G| * |H|.  G is never
-    listed, so |G| has no cap.  When T is every id the H search would
-    repeat the Aut search exactly (see the module docstring), so the Aut
-    chain serves as H's and T's closure, then a tautology, is not checked;
-    otherwise the module's DEFAULT_MAX_SEARCH, read at call time, bounds
-    the nodes both searches visit together.  All four flags are computed
-    even when an earlier one fails.
+    as pi * tau_bar, with pi fixing every class and tau its class action,
+    which sifts through the H chain and so is in Aut(T) as H-bar <= Aut;
+    no check uses associativity.  Uniqueness then follows from |Aut| =
+    |G| * |H|.  When T is every id the H search would repeat the Aut
+    search exactly (see the module docstring), so the Aut chain serves as
+    H's and T's closure, then a tautology, is not checked; otherwise the
+    module's DEFAULT_MAX_SEARCH, read at call time, bounds the nodes both
+    searches visit together.  All four flags are computed even when an
+    earlier one fails.
     """
     n = table.order
     budget = DEFAULT_MAX_SEARCH
@@ -321,7 +317,7 @@ def verify_theorem(
 
     scheme = extension_scheme(psi, t)
     if len(reps) == n:
-        sub, h = table, aut  # T = S: the H search would repeat this one
+        h = aut  # T = S: the H search would repeat this one
     else:
         sub, _ = restrict_to_subsemigroup(table, reps)
         class_sizes = tuple(map(len, scheme.listings))
@@ -331,7 +327,7 @@ def verify_theorem(
             )
         except OrderTooLarge as exc:  # the budget is shared, so report it whole
             raise OrderTooLarge(exc.what, aut.nodes + exc.requested, budget) from None
-    h_bar = embed_h(PermGroup(sub.order, map(Permutation._unchecked, h.generators)), scheme)
+    h_bar = embed_h(PermGroup(len(reps), map(Permutation._unchecked, h.generators)), scheme)
 
     aut_order, h_order = aut.order, h.order
     identity_holds = aut_order == predicted_g * h_order
@@ -385,10 +381,12 @@ def verify_theorem(
         if automorphism_witness(table, tb) is not None:
             factorization_unique = False
             witnesses.setdefault("factorization", f"h-bar generator {tb.images} not in aut")
+    # A sifting tau is a product of H generators g, and g-bar is g on T (reps[k] -> reps[g[k]]);
+    # the loop above put each g-bar in Aut(S) or set the flag and witness, so tau is in Aut(T).
     for phi, tau in zip(aut.generators, taus):
         if tau is None:
             problem = "splits a class"
-        elif automorphism_witness(sub, tau) is not None or not h.sift(tau.images):
+        elif not h.sift(tau.images):
             problem = f"tau {tau.images} is not in h"
         else:
             tbi = inverse(extend_automorphism(tau, scheme)).images

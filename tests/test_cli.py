@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from finsemi import CayleyTable, cli, format_table, verify_theorem
+from finsemi import CayleyTable, core, format_table, verify_theorem
 from finsemi.cli import main
 from support import L2, N3, S6
 
@@ -194,10 +194,29 @@ class TestVerifyTheorem:
         assert main(["verify-theorem", write(tmp_path, "bad", "junk")]) == 2
 
 
-class TestOrderCapBeforeAssociativity:
-    """aut and verify-theorem refuse an oversized table before scanning it."""
+def unreachable(table):
+    raise AssertionError("the associativity scan ran before the order cap")
 
-    OVER_CAP = "finsemi: table order 13 exceeds the configured limit 12\n"
+
+def as_spec(text):
+    """A build-inflation spec: the table, then a fiber of size 1 over every id."""
+    return text + "sizes:" + " 1" * int(text.split("\n")[0]) + "\n"
+
+
+def over_cap(what):
+    return f"finsemi: {what} order 13 exceeds the configured limit 12\n"
+
+
+# each command, how it reads a table, and how it refuses one of order 13
+COMMANDS = [
+    pytest.param("aut", str, over_cap("table"), id="aut"),
+    pytest.param("verify-theorem", str, over_cap("table"), id="verify-theorem"),
+    pytest.param("build-inflation", as_spec, over_cap("inflated"), id="build-inflation"),
+]
+
+
+class TestOrderCapBeforeAssociativity:
+    """aut, verify-theorem and build-inflation refuse an oversized table before scanning it."""
 
     @staticmethod
     def non_associative_text(n):
@@ -205,28 +224,42 @@ class TestOrderCapBeforeAssociativity:
         rows[0][1] = 1  # (0*2)*1 = 1 but 0*(2*1) = 0
         return format_table(CayleyTable(rows))
 
-    @pytest.mark.parametrize("command", ["aut", "verify-theorem"])
-    def test_refused_without_the_associativity_scan(self, tmp_path, capsys, monkeypatch, command):
-        def unreachable(table):
-            raise AssertionError("the associativity scan ran before the order cap")
+    @pytest.mark.parametrize("command,as_input,refusal", COMMANDS)
+    def test_refused_without_the_associativity_scan(
+        self, tmp_path, capsys, monkeypatch, command, as_input, refusal
+    ):
+        monkeypatch.setattr(core, "check_associativity", unreachable)
+        assert main([command, write(tmp_path, "l13", as_input(left_zero_text(13)))]) == 3
+        assert capsys.readouterr() == ("", refusal)
 
-        monkeypatch.setattr(cli, "check_associativity", unreachable)
-        assert main([command, write(tmp_path, "l13", left_zero_text(13))]) == 3
-        assert capsys.readouterr() == ("", self.OVER_CAP)
+    @pytest.mark.parametrize("command,as_input,refusal", COMMANDS)
+    def test_non_associative_table_over_the_cap_is_refused(
+        self, tmp_path, capsys, command, as_input, refusal
+    ):
+        text = as_input(self.non_associative_text(13))
+        assert main([command, write(tmp_path, "bad13", text)]) == 3
+        assert capsys.readouterr() == ("", refusal)
 
-    @pytest.mark.parametrize("command", ["aut", "verify-theorem"])
-    def test_non_associative_table_over_the_cap_is_refused(self, tmp_path, capsys, command):
-        assert main([command, write(tmp_path, "bad13", self.non_associative_text(13))]) == 3
-        assert capsys.readouterr() == ("", self.OVER_CAP)
-
-    @pytest.mark.parametrize("command", ["aut", "verify-theorem"])
-    def test_non_associative_table_within_the_cap_is_unusable(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,as_input,refusal", COMMANDS)
+    def test_non_associative_table_within_the_cap_is_unusable(
+        self, tmp_path, capsys, command, as_input, refusal
+    ):
         for text, witness in [
             (NON_ASSOC_TEXT, "(1*0)*1 != 1*(0*1)"),
             (self.non_associative_text(12), "(0*2)*1 != 0*(2*1)"),
         ]:
-            assert main([command, write(tmp_path, "bad", text)]) == 2
+            assert main([command, write(tmp_path, "bad", as_input(text))]) == 2
             assert capsys.readouterr() == ("", f"finsemi: not associative: {witness}\n")
+
+    def test_non_associative_base_under_large_fibers_is_refused(self, tmp_path, capsys):
+        spec = write(tmp_path, "bad", NON_ASSOC_TEXT + "sizes: 7 6\n")
+        assert main(["build-inflation", spec]) == 3
+        assert capsys.readouterr() == ("", over_cap("inflated"))
+
+    def test_build_inflation_reads_the_sizes_before_the_base_scan(self, tmp_path, capsys):
+        # a malformed sizes line wins over a non-associative base; both are unusable input
+        assert main(["build-inflation", write(tmp_path, "bad", NON_ASSOC_TEXT + "sizes: 1\n")]) == 2
+        assert capsys.readouterr() == ("", "finsemi: 1 sizes for an order 2 base\n")
 
 
 class TestBuildInflation:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -25,6 +26,8 @@ from finsemi import (
     RetractionMap,
     Transversal,
     build_inflation,
+    canonicalize,
+    check_associativity,
     choose_transversal,
     compose,
     compute_h,
@@ -784,3 +787,98 @@ class TestVerifyTheoremFlagsFail:
         assert witnesses["g_normal"] == (
             "1 of 3 generators split a class, 1 of 2 class transpositions outside aut"
         )
+
+    def test_tau_outside_aut_t_that_sifts_through_a_faulty_h(self, monkeypatch):
+        # H holds the swap of T's two non-product ids, which is no automorphism of T,
+        # and an Aut generator has it as its class action; the H-bar check is the one
+        # that fails, so the flag and the witness are set before any tau is read
+        swap = (0, 1, 3, 2)
+        assert not is_automorphism(restrict_to_subsemigroup(S6, (0, 1, 2, 3))[0], Permutation(swap))
+        search = theorem._automorphism_chain
+
+        def faulty(table, extra=None, **kwargs):
+            chain = search(table, extra, **kwargs)
+            if extra is not None:
+                return _regrow(chain, [swap])
+            return chain._replace(
+                generators=tuple(
+                    (0, 1, 3, 2, 5, 4) if g == (0, 1, 2, 5, 4, 3) else g for g in chain.generators
+                ),
+            )
+
+        monkeypatch.setattr(theorem, "_automorphism_chain", faulty)
+        witnesses = self.check((True, False, True, False), ("factorization", "g_normal"))
+        assert witnesses["factorization"] == "h-bar generator (0, 1, 3, 2, 5, 4) not in aut"
+
+
+def opposite(table):
+    """S^op: the transposed table, x * y read as y * x."""
+    return CayleyTable(zip(*table.rows))
+
+
+def random_magma_inflation(rng):
+    """A random magma of order at most 4 inflated to order at most 8, ids shuffled."""
+    m = rng.randint(1, 4)
+    base = CayleyTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+    sizes = [1] * m
+    for _ in range(rng.randint(0, 8 - m)):
+        sizes[rng.randrange(m)] += 1
+    inflated, _ = build_inflation(FiberSizeSpec(base, tuple(sizes)))
+    images = list(range(inflated.order))
+    rng.shuffle(images)
+    return relabel_table(inflated, images)
+
+
+class TestMagmas:
+    """The theorem's checks use no associativity, so every magma passes them."""
+
+    def test_every_magma_of_order_three(self):
+        non_associative = 0
+        for vals in itertools.product(range(3), repeat=9):
+            table = CayleyTable([vals[0:3], vals[3:6], vals[6:9]])
+            report = verify_theorem(table)
+            assert report.all_flags and report.witnesses == (), table
+            non_associative += check_associativity(table) is not None
+        assert non_associative == 19570
+
+    def test_seeded_relabelled_inflations_of_random_magmas(self):
+        rng = random.Random(20)
+        non_associative = proper = 0
+        for _ in range(2000):
+            table = random_magma_inflation(rng)
+            report = verify_theorem(table, rng.choice(POLICIES), seed=rng.randrange(100))
+            assert report.all_flags and report.witnesses == (), table
+            non_associative += check_associativity(table) is not None
+            proper += report.g_order > 1
+        assert non_associative > 1000 and proper > 1000
+
+
+UP_TO_ISO = {n: list(enumerate_semigroups(EnumerationTask(n, "up_to_iso"))) for n in (1, 2, 3, 4)}
+
+
+class TestDuality:
+    """S^op has the same automorphisms, h, psi and transversals as S."""
+
+    def test_opposite_gets_the_same_orders_sizes_and_flags(self):
+        def summary(report):
+            return (
+                report.aut_order,
+                report.h_order,
+                report.g_order,
+                report.psi_class_sizes,
+                report.all_flags,
+                report.witnesses,
+            )
+
+        for classes in UP_TO_ISO.values():
+            for table in classes:
+                report = verify_theorem(table)
+                assert report.all_flags
+                assert summary(verify_theorem(opposite(table))) == summary(report), table
+
+    def test_classes_up_to_anti_isomorphism_match_a001423(self):
+        classes = [len(tables) for tables in UP_TO_ISO.values()]
+        self_dual = [sum(canonicalize(opposite(t)) == t for t in ts) for ts in UP_TO_ISO.values()]
+        assert classes == [1, 5, 24, 188]  # OEIS A027851
+        assert self_dual == [1, 3, 12, 64]
+        assert [(c + d) // 2 for c, d in zip(classes, self_dual)] == [1, 4, 18, 126]  # A001423
