@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import CayleyTable, product_set
+from .core import CayleyTable, _is_arrangement, product_set
 from .errors import MalformedInput, OrderTooLarge
 
 DEFAULT_MAX_ORDER = 12
@@ -48,7 +48,7 @@ class Permutation:
         n = len(images)
         if n == 0:
             raise MalformedInput("empty permutation")
-        if sorted(images) != list(range(n)):
+        if not _is_arrangement(images, n):
             raise MalformedInput(f"not a permutation of 0..{n - 1}: {images!r}")
 
     @property

@@ -26,6 +26,7 @@ from .core import (
 )
 from .enumeration import (
     DEFAULT_MAX_ENUM_ORDER,
+    MODES,
     EnumerationTask,
     check_enumeration_order,
     corpus_verify,
@@ -34,6 +35,7 @@ from .enumeration import (
 from .errors import FinsemiError, OrderTooLarge
 from .inflation import (
     DEFAULT_MAX_INFLATION_ORDER,
+    POLICIES,
     _read_fiber_spec,
     build_inflation,
     choose_transversal,
@@ -211,9 +213,7 @@ def _add_io_flags(sub, *, policy=False, max_order=None):
         "--format", choices=("text", "structured"), default="text", help="output form"
     )
     if policy:
-        sub.add_argument(
-            "--policy", choices=("least", "greatest", "seeded"), default="least"
-        )
+        sub.add_argument("--policy", choices=POLICIES, default="least")
         sub.add_argument("--seed", type=int, default=None, help="seed for --policy seeded")
     if max_order is not None:
         sub.add_argument("--max-order", type=int, default=max_order, dest="max_order")
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
             else "verify the theorem across a whole enumeration",
         )
         sub.add_argument("--order", type=int, required=True)
-        sub.add_argument("--mode", choices=("labelled", "up-to-iso"), default="labelled")
+        sub.add_argument("--mode", choices=[m.replace("_", "-") for m in MODES], default="labelled")
         sub.add_argument(
             "--max-order", type=int, default=DEFAULT_MAX_ENUM_ORDER, dest="max_order"
         )
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("text", "structured"), default="text", help="output form"
         )
         if name == "corpus":
-            sub.add_argument("--policy", choices=("least", "greatest", "seeded"), default="least")
+            sub.add_argument("--policy", choices=POLICIES, default="least")
             sub.add_argument("--seed", type=int, default=None)
             sub.add_argument("--report", default=None, help="per-table report file, - for stdout")
             sub.set_defaults(func=_cmd_corpus)

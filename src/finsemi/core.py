@@ -6,11 +6,12 @@ sides.  The psi partition keeps every product element in its own singleton
 class and groups non-products by h; it is the congruence the inflation
 machinery retracts along.
 
-Psi also decides associativity, for any magma.  Let T hold one id per psi
-class and theta send each id to the one of its class.  Then a*b =
-theta(a)*theta(b), as h-related ids have equal rows and columns, and theta
-fixes every product, so (ab)c and a(bc) are the same products over theta(a),
-theta(b), theta(c) in T: a table is associative exactly when T is, in O(n^2 + |T|^3).
+Psi also decides associativity, for any magma.  Let m(x) be the least id of
+x's psi class and T the set of them.  Then a*b = m(a)*m(b), as psi-related ids
+have equal rows and columns, so (ab)c = (m(a)m(b))m(c) and a(bc) likewise: a
+failing (a, b, c) makes the triple (m(a), m(b), m(c)) over T fail, and it is
+componentwise at most (a, b, c).  So a table is associative exactly when T is,
+and an ascending scan of T meets the least failing triple first, in O(n^2 + |T|^3).
 """
 
 from __future__ import annotations
@@ -18,6 +19,19 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import MalformedInput, NotAssociative
+
+
+def _first_non_id(values: Sequence, n: int) -> int:
+    """Index of the first value that is not an id in 0..n-1 (bools are not ids), else -1."""
+    for i, v in enumerate(values):
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            return i
+    return -1
+
+
+def _is_arrangement(values: Sequence, n: int) -> bool:
+    """Whether values hold every id of 0..n-1 exactly once."""
+    return len(values) == n and _first_non_id(values, n) < 0 and len(set(values)) == n
 
 
 class CayleyTable:
@@ -37,9 +51,9 @@ class CayleyTable:
         for i, row in enumerate(grid):
             if len(row) != n:
                 raise MalformedInput(f"row {i} has {len(row)} entries, expected {n}")
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    raise MalformedInput(f"entry ({i},{j}) = {v!r} is not an id in 0..{n - 1}")
+            j = _first_non_id(row, n)
+            if j >= 0:
+                raise MalformedInput(f"entry ({i},{j}) = {row[j]!r} is not an id in 0..{n - 1}")
         self.order = n
         self.rows = grid
 
@@ -71,35 +85,27 @@ class Partition:
     __slots__ = ("order", "blocks", "block_of")
 
     def __init__(self, order: int, blocks: Iterable[Iterable[int]]):
-        norm = sorted(tuple(sorted(b)) for b in blocks)
-        seen: list[int] = [-1] * order
-        for idx, block in enumerate(norm):
-            if not block:
-                raise MalformedInput("empty block")
-            for x in block:
-                if not 0 <= x < order:
-                    raise MalformedInput(f"block element {x} outside 0..{order - 1}")
-                if seen[x] != -1:
-                    raise MalformedInput(f"element {x} appears in two blocks")
-                seen[x] = idx
-        if -1 in seen:
-            raise MalformedInput(f"element {seen.index(-1)} missing from all blocks")
-        self.order = order
-        self.blocks = tuple(norm)
-        self.block_of = tuple(seen)
+        blocks = [tuple(b) for b in blocks]
+        if not (all(blocks) and _is_arrangement([x for b in blocks for x in b], order)):
+            raise MalformedInput(f"blocks do not split 0..{order - 1} into non-empty sets")
+        self._index(order, map(sorted, blocks))
 
     @classmethod
     def _unchecked(cls, order: int, blocks: Iterable[Sequence[int]]) -> "Partition":
         """Wrap ascending blocks known to partition 0..order-1, skipping validation."""
         p = object.__new__(cls)
-        p.order = order
-        p.blocks = tuple(sorted(map(tuple, blocks)))
+        p._index(order, blocks)
+        return p
+
+    def _index(self, order: int, blocks: Iterable[Sequence[int]]) -> None:
+        """Set the fields from ascending blocks that partition 0..order-1."""
+        self.order = order
+        self.blocks = tuple(sorted(map(tuple, blocks)))
         block_of = [0] * order
-        for idx, block in enumerate(p.blocks):
+        for idx, block in enumerate(self.blocks):
             for x in block:
                 block_of[x] = idx
-        p.block_of = tuple(block_of)
-        return p
+        self.block_of = tuple(block_of)
 
     def related(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]
@@ -183,14 +189,12 @@ def format_table(table: CayleyTable) -> str:
 def check_associativity(table: CayleyTable) -> tuple[int, int, int] | None:
     """None when associative, else the lexicographically least failing (a, b, c).
 
-    Scans the triples over T, one id per psi class (see the module docstring),
-    and all n^3 only when T fails, for the least witness, or when T is every id.
+    Scans the triples over T in ascending order, which meets the least failing
+    triple first (module docstring); when T is every id this is the full scan.
     """
     rows = table.rows
-    reps = [b[0] for b in _psi_blocks(_h_blocks(rows), product_set(table))]
-    if len(reps) < table.order and _first_failure(rows, reps) is None:
-        return None
-    return _first_failure(rows, range(table.order))
+    reps = sorted(b[0] for b in _psi_blocks(_h_blocks(rows), product_set(table)))
+    return _first_failure(rows, reps)
 
 
 def refuse_non_associative(table: CayleyTable) -> None:
@@ -219,7 +223,7 @@ def relabel_table(table: CayleyTable, images: Sequence[int]) -> CayleyTable:
     MalformedInput unless images is a permutation of 0..n-1.
     """
     n = table.order
-    if sorted(images) != list(range(n)) or any(isinstance(y, bool) for y in images):
+    if not _is_arrangement(images, n):
         raise MalformedInput(f"not a permutation of 0..{n - 1}: {tuple(images)!r}")
     inv = [0] * n
     for x, y in enumerate(images):

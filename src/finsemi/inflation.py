@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 from .core import (
     CayleyTable,
     Partition,
+    _first_non_id,
     data_lines,
     format_table,
     refuse_non_associative,
@@ -36,13 +37,8 @@ class Transversal:
     def __post_init__(self):
         reps = tuple(self.representatives)
         object.__setattr__(self, "representatives", reps)
-        if len(set(reps)) != len(reps):
-            raise MalformedInput("repeated representative")
-        if list(reps) != sorted(reps):
-            raise MalformedInput("representatives must be sorted")
-        for t in reps:
-            if not 0 <= t < self.order:
-                raise MalformedInput(f"representative {t} outside 0..{self.order - 1}")
+        if _first_non_id(reps, self.order) >= 0 or reps != tuple(sorted(set(reps))):
+            raise MalformedInput(f"representatives {reps!r} must increase in 0..{self.order - 1}")
 
     @classmethod
     def _unchecked(cls, order: int, representatives: tuple[int, ...]) -> "Transversal":
@@ -65,6 +61,9 @@ class RetractionMap:
         object.__setattr__(self, "theta", theta)
         if len(theta) != self.transversal.order:
             raise MalformedInput("theta length differs from the ambient order")
+        x = _first_non_id(theta, self.transversal.order)
+        if x >= 0:
+            raise MalformedInput(f"theta({x}) = {theta[x]!r} is not a representative")
         reps = set(self.transversal.representatives)
         for x, v in enumerate(theta):
             if v not in reps:
@@ -205,12 +204,10 @@ def restrict_to_subsemigroup(
     Returns the new table and the original id of each new id.  Raises
     NotClosed with the least escaping pair when the subset is not closed.
     """
+    subset = tuple(subset)
+    if not subset or _first_non_id(subset, table.order) >= 0:
+        raise MalformedInput(f"subset {subset!r} is empty or not within 0..{table.order - 1}")
     old_ids = tuple(sorted(set(subset)))
-    if not old_ids:
-        raise MalformedInput("empty subset")
-    for x in old_ids:
-        if not 0 <= x < table.order:
-            raise MalformedInput(f"subset element {x} outside 0..{table.order - 1}")
     members = set(old_ids)
     new_of = {old: new for new, old in enumerate(old_ids)}
     rows = table.rows

@@ -12,6 +12,11 @@ counting |Aut| = |G| * |H|.  Nothing is listed, so the work grows with the
 search, not with |Aut|, and |G| has no cap.  One structure pass per table
 gives h, psi from it and the class position of every id, all reused.
 
+Every check rests only on (R) psi-related ids have equal rows and columns,
+(P) every product is its own psi class, and automorphisms keeping the
+product, never on associativity, so the checks hold for every finite magma;
+the README's proof names the step behind each flag and what it uses.
+
 A reduced table, every psi class a singleton, has T = S, G = 1 and
 Aut = H-bar = H, and then there is one search: restricting to every id
 renumbers nothing and the class sizes are all 1, a colour every id shares,
@@ -40,7 +45,7 @@ from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused
     inverse,
     subgroup_checks,
 )
-from .core import CayleyTable, Partition, _psi_blocks, compute_h, product_set
+from .core import CayleyTable, Partition, _is_arrangement, _psi_blocks, compute_h, product_set
 from .core import compute_psi  # noqa: F401  bench/tracing.py looks it up here
 from .errors import MalformedInput, NotAnAutomorphism, NotExtendable, OrderTooLarge
 from .inflation import (
@@ -69,18 +74,11 @@ class ExtensionScheme:
     def __post_init__(self):
         listings = tuple(tuple(l) for l in self.listings)
         object.__setattr__(self, "listings", listings)
-        seen = set()
+        if not (all(listings) and _is_arrangement([*itertools.chain(*listings)], self.order)):
+            raise MalformedInput(f"listings do not split 0..{self.order - 1} into non-empty sets")
         for listing in listings:
-            if not listing:
-                raise MalformedInput("empty class listing")
             if list(listing[1:]) != sorted(listing[1:]):
                 raise MalformedInput(f"non-representative ids out of order in {listing!r}")
-            for x in listing:
-                if not 0 <= x < self.order or x in seen:
-                    raise MalformedInput(f"bad or repeated id {x} in scheme")
-                seen.add(x)
-        if len(seen) != self.order:
-            raise MalformedInput("scheme does not cover every id")
 
     @classmethod
     def _unchecked(cls, order: int, listings: tuple[tuple[int, ...], ...]) -> "ExtensionScheme":
@@ -287,8 +285,8 @@ def verify_theorem(
     lifted H generator is an automorphism, and meets G trivially when each
     is the lift of its own class action.  Each strong generator phi splits
     as pi * tau_bar, with pi fixing every class and tau its class action,
-    which sifts through the H chain and so is in Aut(T) as H-bar <= Aut;
-    no check uses associativity.  Uniqueness then follows from |Aut| =
+    which sifts through the H chain and so is in Aut(T) as H-bar <= Aut
+    (R, P; see the module docstring).  Uniqueness then follows from |Aut| =
     |G| * |H|.  When T is every id the H search would repeat the Aut
     search exactly (see the module docstring), so the Aut chain serves as
     H's and T's closure, then a tautology, is not checked; otherwise the

@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 from finsemi import (
     CayleyTable,
     CongruenceWitness,
+    ExtensionScheme,
     FiberSizeSpec,
     MalformedInput,
     NotAssociative,
     Partition,
+    Permutation,
+    RetractionMap,
+    Transversal,
     build_inflation,
     check_associativity,
     compute_h,
@@ -24,6 +28,7 @@ from finsemi import (
     parse_table,
     product_set,
     relabel_table,
+    restrict_to_subsemigroup,
 )
 import finsemi
 from finsemi import core
@@ -204,9 +209,33 @@ class TestCheckAssociativity:
             i, j = rng.randrange(n), rng.randrange(n)
             rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
             expected = naive_associativity_witness(rows)
-            assert check_associativity(CayleyTable(rows)) == expected
+            changed = CayleyTable(rows)
+            del scanned[:]
+            assert check_associativity(changed) == expected
+            assert scanned == [len(compute_psi(changed).blocks)]  # one scan, failing or not
             failing += expected is not None
         assert failing > 20
+
+    def test_copies_of_a_non_product_placed_before_the_base(self):
+        # ids 0..k-1 copy the base's non-product p and base id x becomes k + x,
+        # so the least witness lies past every copy but one
+        def copies_first(base, p, k):
+            old = [p] * k + list(range(base.order))
+            return [[k + base.rows[x][y] for y in old] for x in old]
+
+        failing_base = CayleyTable([[0, 0, 0], [0, 0, 0], [0, 2, 0]])
+        for k in (0, 1, 2, 10, 50, 200):
+            rows = copies_first(failing_base, 1, k)
+            expected = naive_associativity_witness(rows)
+            assert check_associativity(CayleyTable(rows)) == expected
+            assert expected == ((k + 2, 0, 0) if k else (2, 1, 1))
+        rng = random.Random(5)
+        for _ in range(300):
+            m = rng.randint(1, 4)
+            base = CayleyTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+            for p in sorted(set(range(m)) - product_set(base)):
+                rows = copies_first(base, p, rng.randint(1, 12))
+                assert check_associativity(CayleyTable(rows)) == naive_associativity_witness(rows)
 
 
 class TestProductSet:
@@ -317,6 +346,34 @@ class TestIsCongruence:
     def test_order_mismatch(self):
         with pytest.raises(MalformedInput):
             is_congruence(Partition(2, [[0], [1]]), N3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Permutation((True, False)),
+        lambda: Permutation((0.0, 1.0)),
+        lambda: Transversal(3, (0.0, 2)),
+        lambda: RetractionMap((0.0, 1), Transversal(2, (0, 1))),
+        lambda: ExtensionScheme(2, ((0.0,), (1,))),
+        lambda: relabel_table(Z2, (0.0, 1.0)),
+        lambda: Partition(2, [[0.0], [1]]),
+        lambda: restrict_to_subsemigroup(S6, (0.0, 1)),
+    ],
+    ids=[
+        "permutation-bools",
+        "permutation-floats",
+        "transversal",
+        "retraction",
+        "extension-scheme",
+        "relabel-table",
+        "partition",
+        "restrict",
+    ],
+)
+def test_a_float_or_bool_is_not_an_id(build):
+    with pytest.raises(MalformedInput):
+        build()
 
 
 class TestPartition:

@@ -856,25 +856,45 @@ class TestMagmas:
 UP_TO_ISO = {n: list(enumerate_semigroups(EnumerationTask(n, "up_to_iso"))) for n in (1, 2, 3, 4)}
 
 
+def _dual_summary(report):
+    return (
+        report.aut_order,
+        report.h_order,
+        report.g_order,
+        report.psi_class_sizes,
+        report.all_flags,
+        report.witnesses,
+    )
+
+
 class TestDuality:
     """S^op has the same automorphisms, h, psi and transversals as S."""
 
     def test_opposite_gets_the_same_orders_sizes_and_flags(self):
-        def summary(report):
-            return (
-                report.aut_order,
-                report.h_order,
-                report.g_order,
-                report.psi_class_sizes,
-                report.all_flags,
-                report.witnesses,
-            )
-
         for classes in UP_TO_ISO.values():
             for table in classes:
                 report = verify_theorem(table)
                 assert report.all_flags
-                assert summary(verify_theorem(opposite(table))) == summary(report), table
+                assert _dual_summary(verify_theorem(opposite(table))) == _dual_summary(report), table
+
+    def test_inflations_of_the_small_classes_up_to_the_order_cap(self):
+        rng = random.Random(17)
+        bases = [t for n in (1, 2, 3) for t in UP_TO_ISO[n]]
+        proper = 0
+        for _ in range(1000):
+            base = rng.choice(bases)
+            sizes = [1] * base.order
+            for _ in range(rng.randint(0, 12 - base.order)):
+                sizes[rng.randrange(base.order)] += 1
+            table, _ = build_inflation(FiberSizeSpec(base, tuple(sizes)))
+            table = relabel_table(table, rng.sample(range(table.order), table.order))
+            policy, seed = rng.choice(POLICIES), rng.randrange(100)
+            report = verify_theorem(table, policy, seed)
+            assert report.all_flags
+            dual = verify_theorem(opposite(table), policy, seed)
+            assert _dual_summary(dual) == _dual_summary(report), table
+            proper += report.g_order > 1
+        assert proper > 500
 
     def test_classes_up_to_anti_isomorphism_match_a001423(self):
         classes = [len(tables) for tables in UP_TO_ISO.values()]
