@@ -7,18 +7,21 @@ reports, comparisons), and are keyed by those tuples.
 
 There is one automorphism search, _automorphism_chain.  It colours each id
 by two invariants every automorphism of a magma keeps, membership in the
-product set and x*x == x, maps ids only onto ids of their own colour, and
-finds a stabilizer chain (base, orbits, Schreier vectors, strong
-generators).  The chain gives |Aut| as the product of the orbit lengths;
-enumerate_automorphisms lists the group by expanding the chain.  Every
-search stops after max_nodes nodes, and _Chain.elements, the only listing,
-refuses more than DEFAULT_MAX_GROUP_ORDER elements before it builds any.
+product set and x*x == x, plus one extra colour when the caller gives it
+(verify_theorem's h-class sizes and psi-class sizes), maps ids only onto
+ids of their own colour, and finds a stabilizer chain (base, orbits,
+Schreier vectors, strong generators).  The chain gives |Aut| as the
+product of the orbit lengths; enumerate_automorphisms lists the group by
+expanding the chain.  Every search stops after max_nodes nodes, and
+_Chain.elements, the only listing, refuses more than
+DEFAULT_MAX_GROUP_ORDER elements before it builds any.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import CayleyTable, _is_arrangement, product_set
@@ -144,12 +147,13 @@ def automorphism_witness(table: CayleyTable, p: Permutation) -> tuple[int, int] 
         raise MalformedInput(f"degree {p.degree} permutation on an order {table.order} table")
     rows = table.rows
     img = p.images
-    for x in range(table.order):
-        rx = rows[x]
-        ix = img[x]
-        for y in range(table.order):
-            if img[rx[y]] != rows[ix][img[y]]:
-                return (x, y)
+    # Row x of the table mapped by p against row p(x) read at the images, both read
+    # whole by itemgetter (entry itself, not a 1-tuple, on both sides when n = 1).
+    at = itemgetter(*img)
+    for x, rx in enumerate(rows):
+        target = rows[img[x]]
+        if itemgetter(*rx)(img) != at(target):
+            return (x, next(y for y, v in enumerate(rx) if img[v] != target[img[y]]))
     return None
 
 

@@ -23,6 +23,9 @@ from .errors import MalformedInput, NotAssociative
 
 def _first_non_id(values: Sequence, n: int) -> int:
     """Index of the first value that is not an id in 0..n-1 (bools are not ids), else -1."""
+    # the common case, all plain ints in range, in C; otherwise the loop finds the index
+    if set(map(type, values)) == {int} and 0 <= min(values) and max(values) < n:
+        return -1
     for i, v in enumerate(values):
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
             return i

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -175,11 +176,14 @@ def verify_inflation(table: CayleyTable, r: RetractionMap) -> InflationWitness |
         for b in image:
             if rows[a][b] not in members:
                 return InflationWitness("image-closed", (a, b))
-    for a in range(n):
-        ta = theta[a]
-        for b in range(n):
-            if rows[ta][theta[b]] != rows[a][b]:
-                return InflationWitness("product", (a, b))
+    # Row theta(a) read at theta against row a, both read whole by itemgetter: one
+    # over a single index returns the entry, not a 1-tuple, so both sides take one.
+    at_theta, at_all = itemgetter(*theta), itemgetter(*range(n))
+    for a, ra in enumerate(rows):
+        rt = rows[theta[a]]
+        if at_theta(rt) != at_all(ra):
+            b = next(b for b in range(n) if rt[theta[b]] != ra[b])
+            return InflationWitness("product", (a, b))
     return None
 
 
@@ -187,13 +191,17 @@ def verify_kernel_in_h(r: RetractionMap, h: Partition) -> tuple[int, int] | None
     """Least pair identified by theta but not h-related, or None."""
     if len(r.theta) != h.order:
         raise MalformedInput("retraction and partition orders differ")
-    theta = r.theta
-    n = h.order
-    for a in range(n):
-        for b in range(a + 1, n):
-            if theta[a] == theta[b] and h.block_of[a] != h.block_of[b]:
-                return (a, b)
-    return None
+    # In a fibre of theta with least id a, a failing pair (c, d) has c or d outside
+    # a's h block, so (a, that id) fails and is no larger: the fibre's least failing
+    # pair is a and the first id after it in another block.  The least over fibres wins.
+    block_of = h.block_of
+    least: dict[int, int] = {}
+    pairs: dict[int, tuple[int, int]] = {}
+    for b, t in enumerate(r.theta):
+        a = least.setdefault(t, b)
+        if t not in pairs and block_of[a] != block_of[b]:
+            pairs[t] = (a, b)
+    return min(pairs.values(), default=None)
 
 
 def restrict_to_subsemigroup(

@@ -10,7 +10,10 @@ generated by the class transpositions, normality is "every generator
 permutes the classes", and the uniqueness of pi * tau_bar follows by
 counting |Aut| = |G| * |H|.  Nothing is listed, so the work grows with the
 search, not with |Aut|, and |G| has no cap.  One structure pass per table
-gives h, psi from it and the class position of every id, all reused.
+gives h, psi from it and the class position of every id, all reused; the
+size of each id's h class colours the Aut search, as an automorphism maps
+h classes onto h classes.  The generators stay image tuples throughout:
+H-bar is the sorted set of their lifts, and no group object is built.
 
 Every check rests only on (R) psi-related ids have equal rows and columns,
 (P) every product is its own psi class, and automorphisms keeping the
@@ -20,10 +23,10 @@ the README's proof names the step behind each flag and what it uses.
 A reduced table, every psi class a singleton, has T = S, G = 1 and
 Aut = H-bar = H, and then there is one search: restricting to every id
 renumbers nothing and the class sizes are all 1, a colour every id shares,
-so the H search would build the same plan on the same table and return
-the same chain as the Aut search.  The pipeline's own partitions,
-transversal, retraction and listings are valid by construction and are
-built without re-validation; the public constructors keep every check.
+so H is Aut itself and the Aut chain is a stabilizer chain of it.  The
+pipeline's own partitions, transversal, retraction and listings are valid
+by construction and are built without re-validation; the public
+constructors keep every check.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused names here
     DEFAULT_MAX_GROUP_ORDER,
@@ -40,6 +44,7 @@ from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused
     Permutation,
     _automorphism_chain,
     automorphism_witness,
+    check_table_order,
     compose,
     enumerate_automorphisms,
     inverse,
@@ -143,21 +148,30 @@ def extendable_automorphisms(
     return PermGroup(t_table.order, chain.elements())
 
 
+def _lift(tau: Sequence[int], scheme: ExtensionScheme) -> tuple[int, ...]:
+    """The images of tau spread over whole classes positionally; NotExtendable on a size change.
+
+    tau permutes the transversal positions, one per listing of the scheme.
+    """
+    listings = scheme.listings
+    images = [-1] * scheme.order
+    for k, (src, t) in enumerate(zip(listings, tau)):
+        dst = listings[t]
+        if len(src) != len(dst):
+            raise NotExtendable(k)
+        for x, y in zip(src, dst):
+            images[x] = y
+    # the listings partition 0..n-1 and tau permutes them, so this is a bijection
+    return tuple(images)
+
+
 def extend_automorphism(tau: Permutation, scheme: ExtensionScheme) -> Permutation:
     """Spread a transversal automorphism over whole classes positionally."""
     if tau.degree != len(scheme.listings):
         raise MalformedInput(
             f"degree {tau.degree} permutation for {len(scheme.listings)} classes"
         )
-    images = [-1] * scheme.order
-    for k, src in enumerate(scheme.listings):
-        dst = scheme.listings[tau.images[k]]
-        if len(src) != len(dst):
-            raise NotExtendable(k)
-        for pos, x in enumerate(src):
-            images[x] = dst[pos]
-    # the listings partition 0..n-1 and tau permutes them, so this is a bijection
-    return Permutation._unchecked(tuple(images))
+    return Permutation._unchecked(_lift(tau.images, scheme))
 
 
 def embed_h(h: PermGroup, scheme: ExtensionScheme) -> PermGroup:
@@ -174,8 +188,8 @@ def _class_positions(psi: Partition, reps: tuple[int, ...]) -> list[int]:
 
 
 def _class_action(
-    images: tuple[int, ...], pos: list[int], reps: tuple[int, ...]
-) -> Permutation | None:
+    images: Sequence[int], pos: list[int], reps: tuple[int, ...]
+) -> tuple[int, ...] | None:
     """How images permute the psi classes, in transversal positions; None on a split.
 
     pos is _class_positions(psi, reps), and entry k of the result is the
@@ -186,7 +200,12 @@ def _class_action(
     tau = tuple([onto[rep] for rep in reps])
     if [tau[k] for k in pos] != onto:
         return None
-    return Permutation._unchecked(tau)
+    return tau
+
+
+def _h_bar(generators: Sequence[Sequence[int]], scheme: ExtensionScheme) -> list[tuple[int, ...]]:
+    """The lifts of the H generators, sorted and without repeats, as embed_h lists them."""
+    return sorted({_lift(g, scheme) for g in generators})
 
 
 def decompose_automorphism(
@@ -208,6 +227,7 @@ def decompose_automorphism(
     tau = _class_action(phi.images, _class_positions(psi, t.representatives), t.representatives)
     if tau is None:
         raise MalformedInput(f"{phi.images} splits a psi class")
+    tau = Permutation._unchecked(tau)
     pi = compose(phi, inverse(extend_automorphism(tau, scheme)))
     return tau, pi
 
@@ -277,28 +297,33 @@ def verify_theorem(
 
     Aut and H come from stabilizer chains found by search (see
     _automorphism_chain), independent of the G and H-bar constructions: Aut
-    on the table, H on T with the class sizes as an extra colour.  Every
-    check runs on generators.  G, a predicate (fix every psi class), lies
-    in Aut when each transposition of adjacent ids in a class is an
-    automorphism that sifts through the chain, and is normal when every
-    strong generator permutes the classes.  H-bar lies in Aut when each
-    lifted H generator is an automorphism, and meets G trivially when each
-    is the lift of its own class action.  Each strong generator phi splits
-    as pi * tau_bar, with pi fixing every class and tau its class action,
-    which sifts through the H chain and so is in Aut(T) as H-bar <= Aut
-    (R, P; see the module docstring).  Uniqueness then follows from |Aut| =
-    |G| * |H|.  When T is every id the H search would repeat the Aut
-    search exactly (see the module docstring), so the Aut chain serves as
-    H's and T's closure, then a tautology, is not checked; otherwise the
-    module's DEFAULT_MAX_SEARCH, read at call time, bounds the nodes both
-    searches visit together.  All four flags are computed even when an
+    on the table with each id's h-class size as an extra colour, which
+    every automorphism keeps, and H on T with the psi-class sizes as one.
+    Every check runs on generators, as image tuples.  G, a predicate (fix
+    every psi class), lies in Aut when each transposition of adjacent ids
+    in a class sifts through the chain (a product of strong generators,
+    each a search leaf that passed every product check, so no scan is
+    needed), and is normal when every strong generator permutes the
+    classes.  H-bar lies in Aut when each lifted H generator is an
+    automorphism, and meets G trivially when each is the lift of its own
+    class action.  Each strong generator phi splits as pi * tau_bar, with
+    pi fixing every class and tau its class action, which sifts through the
+    H chain and so is in Aut(T) as H-bar <= Aut (R, P; see the module
+    docstring).  Uniqueness then follows from |Aut| = |G| * |H|.  When T
+    is every id H is Aut itself (see the module docstring), so the Aut
+    chain serves as H's and T's closure, then a tautology, is not checked;
+    otherwise the module's DEFAULT_MAX_SEARCH, read at call time, bounds
+    the nodes both searches visit together.  The table-order cap refuses
+    before any other work.  All four flags are computed even when an
     earlier one fails.
     """
     n = table.order
     budget = DEFAULT_MAX_SEARCH
-    # first, so that the table-order cap refuses before any other work
-    aut = _automorphism_chain(table, max_order=max_order, max_nodes=budget)
+    check_table_order(n, max_order)  # first, so that the cap refuses before any other work
     h_rel = compute_h(table)
+    # every automorphism maps h classes onto h classes, so it keeps each id's class size
+    twins = [len(h_rel.blocks[b]) for b in h_rel.block_of]
+    aut = _automorphism_chain(table, twins, max_order=max_order, max_nodes=budget)
     psi = Partition._unchecked(n, _psi_blocks(h_rel.blocks, product_set(table)))
     predicted_g = predicted_class_group_order(psi)
     t = choose_transversal(psi, policy, seed)
@@ -315,7 +340,7 @@ def verify_theorem(
 
     scheme = extension_scheme(psi, t)
     if len(reps) == n:
-        h = aut  # T = S: the H search would repeat this one
+        h = aut  # T = S: H is Aut itself
     else:
         sub, _ = restrict_to_subsemigroup(table, reps)
         class_sizes = tuple(map(len, scheme.listings))
@@ -325,7 +350,7 @@ def verify_theorem(
             )
         except OrderTooLarge as exc:  # the budget is shared, so report it whole
             raise OrderTooLarge(exc.what, aut.nodes + exc.requested, budget) from None
-    h_bar = embed_h(PermGroup(len(reps), map(Permutation._unchecked, h.generators)), scheme)
+    h_bar = _h_bar(h.generators, scheme)
 
     aut_order, h_order = aut.order, h.order
     identity_holds = aut_order == predicted_g * h_order
@@ -337,20 +362,20 @@ def verify_theorem(
     # generate G.
     taus = [_class_action(phi, pos, reps) for phi in aut.generators]
     splits = taus.count(None)
-    swaps = []
+    # A transposition that sifts is a product of strong generators, each a search
+    # leaf that passed every product check, so it needs no scan of its own.
+    swaps = outside = 0
     for block in psi.blocks:
         for x, y in zip(block, block[1:]):
             images = list(range(n))
             images[x], images[y] = y, x
-            swaps.append(Permutation._unchecked(tuple(images)))
-    outside = sum(
-        automorphism_witness(table, s) is not None or not aut.sift(s.images) for s in swaps
-    )
+            swaps += 1
+            outside += not aut.sift(images)
     g_is_normal = splits == 0 and outside == 0
     if not g_is_normal:
         witnesses["g_normal"] = (
             f"{splits} of {len(aut.generators)} generators split a class, "
-            f"{outside} of {len(swaps)} class transpositions outside aut"
+            f"{outside} of {swaps} class transpositions outside aut"
         )
 
     # Lifting is a homomorphism and the class action undoes it on every
@@ -359,8 +384,8 @@ def verify_theorem(
     # class action extends.
     not_lifts = 0
     for tb in h_bar:
-        tau = _class_action(tb.images, pos, reps)
-        not_lifts += tau is None or extend_automorphism(tau, scheme) != tb
+        tau = _class_action(tb, pos, reps)
+        not_lifts += tau is None or _lift(tau, scheme) != tb
     intersection_trivial = not_lifts == 0
     if not intersection_trivial:
         witnesses["intersection"] = (
@@ -376,18 +401,18 @@ def verify_theorem(
     elif not intersection_trivial:
         witnesses["factorization"] = "h-bar meets g, so pi * tau_bar is not unique"
     for tb in h_bar:
-        if automorphism_witness(table, tb) is not None:
+        if automorphism_witness(table, Permutation._unchecked(tb)) is not None:
             factorization_unique = False
-            witnesses.setdefault("factorization", f"h-bar generator {tb.images} not in aut")
+            witnesses.setdefault("factorization", f"h-bar generator {tb} not in aut")
     # A sifting tau is a product of H generators g, and g-bar is g on T (reps[k] -> reps[g[k]]);
     # the loop above put each g-bar in Aut(S) or set the flag and witness, so tau is in Aut(T).
     for phi, tau in zip(aut.generators, taus):
         if tau is None:
             problem = "splits a class"
-        elif not h.sift(tau.images):
-            problem = f"tau {tau.images} is not in h"
+        elif not h.sift(tau):
+            problem = f"tau {tau} is not in h"
         else:
-            tbi = inverse(extend_automorphism(tau, scheme)).images
+            tbi = inverse(Permutation._unchecked(_lift(tau, scheme))).images
             pi = [tbi[v] for v in phi]  # phi * inverse(tau_bar)
             if [pos[v] for v in pi] == pos:
                 continue

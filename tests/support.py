@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from finsemi import CayleyTable
+from finsemi import CayleyTable, FiberSizeSpec, build_inflation, relabel_table
 
 # Canonical test semigroups.  N3/N4 are null (every product is 0), L2 is
 # left-zero, S6 and IL2 glue fibers over L2 with interleaved ids: fibers
@@ -43,6 +43,44 @@ def naive_associativity_witness(rows) -> tuple[int, int, int] | None:
             for c in range(n):
                 if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
                     return (a, b, c)
+    return None
+
+
+def naive_automorphism_witness(rows, img) -> tuple[int, int] | None:
+    """Least (x, y) with img[x*y] != img[x]*img[y], pair by pair, None when there is none."""
+    n = len(rows)
+    for x in range(n):
+        for y in range(n):
+            if img[rows[x][y]] != rows[img[x]][img[y]]:
+                return (x, y)
+    return None
+
+
+def naive_inflation_witness(rows, theta) -> tuple[str, tuple[int, ...]] | None:
+    """The first broken inflation axiom and its least witness, scanned entry by entry."""
+    n = len(rows)
+    for x in range(n):
+        if theta[theta[x]] != theta[x]:
+            return ("idempotent", (x,))
+    image = sorted(set(theta))
+    for a in image:
+        for b in image:
+            if rows[a][b] not in image:
+                return ("image-closed", (a, b))
+    for a in range(n):
+        for b in range(n):
+            if rows[theta[a]][theta[b]] != rows[a][b]:
+                return ("product", (a, b))
+    return None
+
+
+def naive_kernel_pair(theta, block_of) -> tuple[int, int] | None:
+    """Least pair a < b with theta(a) = theta(b) in different blocks, over every pair."""
+    n = len(theta)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if theta[a] == theta[b] and block_of[a] != block_of[b]:
+                return (a, b)
     return None
 
 
@@ -130,3 +168,24 @@ def non_products_first(rows, rng=None) -> CayleyTable:
         for y in range(n):
             out[new[x]][new[y]] = new[rows[x][y]]
     return CayleyTable(out)
+
+
+def random_magma_inflation(rng, max_order: int = 8) -> CayleyTable:
+    """A random magma of order at most 4 inflated to order at most max_order, ids shuffled."""
+    m = rng.randint(1, 4)
+    base = CayleyTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+    sizes = [1] * m
+    for _ in range(rng.randint(0, max_order - m)):
+        sizes[rng.randrange(m)] += 1
+    inflated, _ = build_inflation(FiberSizeSpec(base, tuple(sizes)))
+    images = list(range(inflated.order))
+    rng.shuffle(images)
+    return relabel_table(inflated, images)
+
+
+def with_one_cell_changed(table, rng) -> CayleyTable:
+    """The table with one seeded cell set to a seeded id, possibly its old value."""
+    n = table.order
+    rows = [list(row) for row in table.rows]
+    rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return CayleyTable(rows)

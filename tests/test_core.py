@@ -376,6 +376,25 @@ def test_a_float_or_bool_is_not_an_id(build):
         build()
 
 
+class TestFirstNonId:
+    @pytest.mark.parametrize("bad", [True, 1.0, -1, 4], ids=["bool", "float", "minus-one", "n"])
+    def test_the_index_of_a_non_id_at_each_position(self, bad):
+        for i in range(4):
+            values = [2, 0, 3, 1]
+            values[i] = bad
+            assert core._first_non_id(values, 4) == i
+            assert core._first_non_id(tuple(values), 4) == i
+            assert core._first_non_id(values + [bad], 4) == i  # the first of two
+
+    def test_ids_in_range(self):
+        assert core._first_non_id((2, 0, 3, 1), 4) == -1
+        assert core._first_non_id([0, 0, 3], 4) == -1
+
+    def test_empty(self):
+        assert core._first_non_id((), 0) == -1
+        assert core._first_non_id([], 3) == -1
+
+
 class TestPartition:
     def test_normalization(self):
         assert Partition(3, [[2, 1], [0]]).blocks == ((0,), (1, 2))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from finsemi import (
     NotAssociative,
     NotClosed,
     OrderTooLarge,
+    Permutation,
+    automorphism_witness,
     build_inflation,
     canonicalize,
     choose_transversal,
@@ -20,12 +23,24 @@ from finsemi import (
     parse_fiber_spec,
     product_set,
     restrict_to_subsemigroup,
+    retraction_from_theta,
     verify_inflation,
     verify_kernel_in_h,
 )
 from finsemi.core import compute_h
 from finsemi.inflation import POLICIES, RetractionMap, Transversal
-from support import IL2, L2, N3, S6, Z3
+from support import (
+    IL2,
+    L2,
+    N3,
+    S6,
+    Z3,
+    naive_automorphism_witness,
+    naive_inflation_witness,
+    naive_kernel_pair,
+    random_magma_inflation,
+    with_one_cell_changed,
+)
 
 
 class TestChooseTransversal:
@@ -150,6 +165,54 @@ class TestVerifyKernelInH:
     def test_failure_witness(self):
         theta = RetractionMap((0, 0), Transversal(2, (0,)))
         assert verify_kernel_in_h(theta, compute_h(L2)) == (0, 1)
+
+
+class TestRowWiseScansMatchTheDoubleLoops:
+    """automorphism_witness, verify_inflation and verify_kernel_in_h against the oracles."""
+
+    def check(self, table, images=(), retractions=()):
+        """Compare every witness; return how many of them were failures."""
+        failures = 0
+        for img in images:
+            got = automorphism_witness(table, Permutation(img))
+            assert got == naive_automorphism_witness(table.rows, img), (table, img)
+            failures += got is not None
+        h = compute_h(table)
+        for r in retractions:
+            got = verify_inflation(table, r)
+            assert got == naive_inflation_witness(table.rows, r.theta), (table, r)
+            pair = verify_kernel_in_h(r, h)
+            assert pair == naive_kernel_pair(r.theta, h.block_of), (table, r)
+            failures += (got is not None) + (pair is not None)
+        return failures
+
+    def test_every_magma_of_order_three(self):
+        perms = list(itertools.permutations(range(3)))
+        thetas = [t for t in itertools.product(range(3), repeat=3) if all(t[v] == v for v in t)]
+        retractions = [retraction_from_theta(t) for t in thetas]
+        assert len(retractions) == 10  # the idempotent maps of three points
+        failures = 0
+        for vals in itertools.product(range(3), repeat=9):
+            table = CayleyTable([vals[0:3], vals[3:6], vals[6:9]])
+            failures += self.check(table, perms, retractions)
+        assert failures > 100000
+
+    def test_perturbed_inflations_up_to_order_nine(self):
+        rng = random.Random(90)
+        failures = 0
+        for _ in range(300):
+            table = random_magma_inflation(rng, 9)
+            changed = with_one_cell_changed(table, rng)
+            psi, n = compute_psi(table), table.order
+            retractions = [
+                induced_retraction(psi, choose_transversal(psi, policy, rng.randrange(100)))
+                for policy in POLICIES
+            ]
+            images = [tuple(rng.sample(range(n), n)) for _ in range(3)]
+            images += [tuple(range(n)), tuple(rng.sample(range(n), n))]
+            failures += self.check(table, images, retractions)
+            failures += self.check(changed, images, retractions)
+        assert failures > 1000
 
 
 class TestRestrictToSubsemigroup:

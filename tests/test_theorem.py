@@ -61,6 +61,7 @@ from support import (
     Z3,
     naive_automorphism_images,
     non_products_first,
+    random_magma_inflation,
 )
 
 TWO_NULL = CayleyTable([[0, 0], [0, 0]])
@@ -656,7 +657,7 @@ def _on_s6(edit, *, h=False):
 
     def patched(table, extra=None, **kwargs):
         chain = search(table, extra, **kwargs)
-        hit = extra is not None if h else table is S6
+        hit = table is not S6 if h else table is S6  # the H search runs on T, not on S6
         return edit(chain) if hit else chain
 
     return patched
@@ -731,11 +732,11 @@ class TestVerifyTheoremFlagsFail:
 
     def test_h_bar_meets_g(self, monkeypatch):
         # the class swap added to the lifted H generators
-        embed = theorem.embed_h
+        lifts = theorem._h_bar
         monkeypatch.setattr(
             theorem,
-            "embed_h",
-            lambda h, scheme: PermGroup(6, list(embed(h, scheme)) + [S6_CLASS_SWAP]),
+            "_h_bar",
+            lambda generators, scheme: sorted(lifts(generators, scheme) + [S6_CLASS_SWAP.images]),
         )
         witnesses = self.check((True, True, False, False), ("factorization", "intersection"))
         assert witnesses["intersection"] == (
@@ -798,7 +799,7 @@ class TestVerifyTheoremFlagsFail:
 
         def faulty(table, extra=None, **kwargs):
             chain = search(table, extra, **kwargs)
-            if extra is not None:
+            if table is not S6:
                 return _regrow(chain, [swap])
             return chain._replace(
                 generators=tuple(
@@ -814,19 +815,6 @@ class TestVerifyTheoremFlagsFail:
 def opposite(table):
     """S^op: the transposed table, x * y read as y * x."""
     return CayleyTable(zip(*table.rows))
-
-
-def random_magma_inflation(rng):
-    """A random magma of order at most 4 inflated to order at most 8, ids shuffled."""
-    m = rng.randint(1, 4)
-    base = CayleyTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
-    sizes = [1] * m
-    for _ in range(rng.randint(0, 8 - m)):
-        sizes[rng.randrange(m)] += 1
-    inflated, _ = build_inflation(FiberSizeSpec(base, tuple(sizes)))
-    images = list(range(inflated.order))
-    rng.shuffle(images)
-    return relabel_table(inflated, images)
 
 
 class TestMagmas:
@@ -851,6 +839,42 @@ class TestMagmas:
             non_associative += check_associativity(table) is not None
             proper += report.g_order > 1
         assert non_associative > 1000 and proper > 1000
+
+
+def _twin_sizes(table):
+    h = compute_h(table)
+    return [len(h.block_containing(x)) for x in range(table.order)]
+
+
+def _assert_twin_chain_is_the_plain_chain(table):
+    """The Aut search coloured by h-class size, as verify_theorem runs it, finds the same group."""
+    plain = theorem._automorphism_chain(table)
+    twin = theorem._automorphism_chain(table, _twin_sizes(table))
+    assert twin.order == plain.order, table
+    assert all(plain.sift(g) for g in twin.generators), table
+    assert all(twin.sift(g) for g in plain.generators), table
+
+
+class TestTwinColouredAutSearch:
+    """Every automorphism keeps the h classes, so their sizes prune no automorphism."""
+
+    def test_every_semigroup_of_order_at_most_four(self, corpus_by_order):
+        for tables in corpus_by_order.values():
+            for table in tables:
+                _assert_twin_chain_is_the_plain_chain(table)
+
+    def test_every_magma_of_order_three(self):
+        for vals in itertools.product(range(3), repeat=9):
+            _assert_twin_chain_is_the_plain_chain(CayleyTable([vals[0:3], vals[3:6], vals[6:9]]))
+
+    def test_seeded_relabelled_magma_inflations_up_to_order_twelve(self):
+        rng = random.Random(18)
+        twins = 0
+        for _ in range(500):
+            table = random_magma_inflation(rng, 12)
+            _assert_twin_chain_is_the_plain_chain(table)
+            twins += len(set(_twin_sizes(table))) > 1
+        assert twins > 250  # most tables get more than one colour from the sizes
 
 
 UP_TO_ISO = {n: list(enumerate_semigroups(EnumerationTask(n, "up_to_iso"))) for n in (1, 2, 3, 4)}
