@@ -9,10 +9,11 @@ There is one automorphism search, _automorphism_chain.  It colours each id
 by two invariants every automorphism of a magma keeps, membership in the
 product set and x*x == x, plus one extra colour when the caller gives it
 (verify_theorem's h-class sizes and psi-class sizes), maps ids only onto
-ids of their own colour, and finds a stabilizer chain (base, orbits,
-Schreier vectors, strong generators).  The chain gives |Aut| as the
-product of the orbit lengths; enumerate_automorphisms lists the group by
-expanding the chain.  Every search stops after max_nodes nodes, and
+ids of their own colour, and finds a stabilizer chain (base, strong
+generators, and at each level one coset representative per orbit point).
+The chain gives |Aut| as the product of the orbit lengths;
+enumerate_automorphisms lists the group by multiplying the
+representatives.  Every search stops after max_nodes nodes, and
 _Chain.elements, the only listing, refuses more than
 DEFAULT_MAX_GROUP_ORDER elements before it builds any.
 """
@@ -203,82 +204,75 @@ def _plan(
     return order, candidates, bucket
 
 
-def _schreier(
-    n: int, point: int, generators: Sequence[tuple[int, ...]]
-) -> tuple[list[int | None], list[int]]:
-    """Schreier vector and orbit of point in 0..n-1 under the generators.
+def _transversal(
+    point: int, generators: Sequence[tuple[int, ...]], ident: tuple[int, ...]
+) -> dict[int, tuple[int, ...]]:
+    """Coset representatives of the orbit of point under the generators.
 
-    vector[x] is the index of the generator that first reached x, -1 at
-    point itself and None outside the orbit.
+    Maps each orbit point z to a product of the generators that sends point
+    to z, grown breadth first from ident, the identity: the representative
+    of z is that of the point z was first reached from, followed by the
+    generator that reached it.
     """
-    vector: list[int | None] = [None] * n
-    vector[point] = -1
+    reps = {point: ident}
     orbit = [point]
     for y in orbit:
-        for i, g in enumerate(generators):
+        for g in generators:
             z = g[y]
-            if vector[z] is None:
-                vector[z] = i
+            if z not in reps:
+                reps[z] = tuple([g[v] for v in reps[y]])
                 orbit.append(z)
-    return vector, orbit
+    return reps
 
 
 class _Chain(NamedTuple):
-    """A stabilizer chain of Aut: base, orbits, Schreier vectors, strong generators.
+    """A stabilizer chain of Aut: base, strong generators, coset transversals.
 
-    A generator of level k fixes base[0..k-1] and moves base[k].  orbits[k]
-    is the orbit of base[k] under the generators of level >= k, which
-    generate the pointwise stabilizer of base[0..k-1], and vectors[k] is
-    its Schreier vector (see _schreier).  The base holds every id.
+    A generator of level k fixes base[0..k-1] and moves base[k].  The
+    generators of level >= k generate the pointwise stabilizer of
+    base[0..k-1], and transversals[k] maps each point z of the orbit of
+    base[k] under them to a representative that fixes base[0..k-1] and
+    sends base[k] to z (see _transversal).  The base holds every id.
     """
 
     base: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    orbits: tuple[tuple[int, ...], ...]
-    vectors: tuple[tuple[int | None, ...], ...]
+    transversals: tuple[dict[int, tuple[int, ...]], ...]
     nodes: int
 
     @property
     def order(self) -> int:
-        return math.prod(len(orbit) for orbit in self.orbits)
+        return math.prod(map(len, self.transversals))
 
     def sift(self, images: tuple[int, ...]) -> bool:
-        """True when images is a product of the strong generators.
+        """True when images is a product of the coset representatives.
 
-        At each level the image of the base point is walked back to it along
-        the Schreier vector, dividing by one generator (inverted once) per step.
+        At each level images is divided by the representative of the image
+        of the base point, which then fixes it.
         """
-        g = list(images)
-        inverses: dict[int, list[int]] = {}
-        for b, vector in zip(self.base, self.vectors):
-            while g[b] != b:
-                i = vector[g[b]]
-                if i is None:
+        g = images
+        for b, reps in zip(self.base, self.transversals):
+            z = g[b]
+            if z != b:
+                if z not in reps:
                     return False
-                if i not in inverses:  # sorting the ids by their image inverts
-                    inverses[i] = sorted(range(len(g)), key=self.generators[i].__getitem__)
-                g = [inverses[i][v] for v in g]
+                # sorting the ids by their image inverts
+                inv = sorted(range(len(g)), key=reps[z].__getitem__)
+                g = [inv[v] for v in g]
         # every id is a base point, so g is now the identity
         return True
 
     def elements(self) -> list[Permutation]:
-        """Every element of the group, expanded from the Schreier vectors.
+        """Every element of the group, expanded from the transversals.
 
-        The coset representative of orbit point z at level k is that of the
-        point z was reached from, g.index(z) for the generator g at
-        vectors[k][z], followed by g.  The stabilizer of base[0..k-1] is the
-        stabilizer of base[0..k] followed by each representative of level k,
-        so the group is built from the identity, deepest level first.
+        The stabilizer of base[0..k-1] is the stabilizer of base[0..k]
+        followed by each representative of level k, so the group is built
+        from the identity, deepest level first.
         """
         if self.order > DEFAULT_MAX_GROUP_ORDER:
             raise OrderTooLarge("automorphism group order", self.order, DEFAULT_MAX_GROUP_ORDER)
-        n = len(self.base)
-        group = [tuple(range(n))]
-        for orbit, vector in zip(reversed(self.orbits), reversed(self.vectors)):
-            reps = {orbit[0]: tuple(range(n))}
-            for z in orbit[1:]:
-                g = self.generators[vector[z]]
-                reps[z] = tuple([g[v] for v in reps[g.index(z)]])
+        group = [tuple(range(len(self.base)))]
+        for reps in reversed(self.transversals):
             group = [tuple([t[v] for v in h]) for h in group for t in reps.values()]
         return [Permutation._unchecked(images) for images in group]
 
@@ -343,26 +337,25 @@ def _automorphism_chain(
         img[x] = -1
         return False
 
+    ident = tuple(range(n))
     generators: list[tuple[int, ...]] = []
-    orbits: list[tuple[int, ...]] = [()] * n
-    vectors: list[tuple[int | None, ...]] = [()] * n
+    transversals: list[dict[int, tuple[int, ...]]] = []
     for k in range(n - 1, -1, -1):
         b = order[k]
         img[b] = -1
         used[b] = False
-        vector, orbit = _schreier(n, b, generators)
+        reps = _transversal(b, generators, ident)
         for v in candidates[k]:
-            if used[v] or vector[v] is not None:
+            if used[v] or v in reps:
                 continue
             if first_leaf(k, (v,)):
                 generators.append(tuple(img))
                 for x in order[k:]:
                     used[img[x]] = False
                     img[x] = -1
-                vector, orbit = _schreier(n, b, generators)
-        orbits[k] = tuple(orbit)
-        vectors[k] = tuple(vector)
-    return _Chain(tuple(order), tuple(generators), tuple(orbits), tuple(vectors), nodes)
+                reps = _transversal(b, generators, ident)
+        transversals.append(reps)
+    return _Chain(tuple(order), tuple(generators), tuple(reversed(transversals)), nodes)
 
 
 def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:

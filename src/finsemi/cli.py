@@ -32,7 +32,7 @@ from .enumeration import (
     corpus_verify,
     enumerate_semigroups,
 )
-from .errors import FinsemiError, OrderTooLarge
+from .errors import FinsemiError, MalformedInput, OrderTooLarge
 from .inflation import (
     DEFAULT_MAX_INFLATION_ORDER,
     POLICIES,
@@ -49,8 +49,12 @@ from .automorphisms import DEFAULT_MAX_ORDER, check_table_order, enumerate_autom
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: non-ASCII byte at offset {exc.start}") from None
 
 
 def _read_capped_table(args):

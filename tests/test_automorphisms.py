@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import random
 
@@ -261,7 +262,8 @@ class TestAutomorphismChain:
                 assert chain.order == len(naive)
                 for g in chain.generators:
                     assert is_automorphism(table, Permutation(g))
-                assert all(chain.sift(images) for images in naive)
+                sifting = [p for p in itertools.permutations(range(n)) if chain.sift(p)]
+                assert sifting == naive
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_order_matches_naive_oracle_on_random_magmas(self, n):
@@ -280,16 +282,17 @@ class TestAutomorphismChain:
         for table in inflations_non_products_first:
             assert _automorphism_chain(table).order == len(naive_automorphism_images(table.rows))
 
-    def test_levels_orbits_and_vectors_agree(self, corpus_by_order):
+    def test_levels_and_transversals_agree(self, corpus_by_order):
         for table in corpus_by_order[4][::7]:
             chain = _automorphism_chain(table)
-            assert sorted(chain.base) == list(range(table.order))
+            base = chain.base
+            assert sorted(base) == list(range(table.order))
+            for k, (b, reps) in enumerate(zip(base, chain.transversals)):
+                for z, t in reps.items():
+                    assert t[b] == z and all(t[a] == a for a in base[:k])
             for g in chain.generators:
-                level = next(k for k, b in enumerate(chain.base) if g[b] != b)
-                assert g[chain.base[level]] in chain.orbits[level]
-            for b, orbit, vector in zip(chain.base, chain.orbits, chain.vectors):
-                assert orbit[0] == b and vector[b] == -1
-                assert sorted(orbit) == [x for x, i in enumerate(vector) if i is not None]
+                level = next(k for k, b in enumerate(base) if g[b] != b)
+                assert g[base[level]] in chain.transversals[level]
 
     def test_sift_rejects_what_is_not_an_automorphism(self):
         chain = _automorphism_chain(S6)

@@ -215,6 +215,36 @@ COMMANDS = [
 ]
 
 
+class TestNonAsciiFile:
+    """A file that is not ASCII is unusable input, exit 2 with the byte offset, in every reader."""
+
+    @pytest.mark.parametrize(
+        "command,as_input",
+        [
+            ("check", str),
+            ("analyze", str),
+            ("aut", str),
+            ("verify-theorem", str),
+            ("build-inflation", as_spec),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "prefix,offset",
+        [("# café\n".encode(), 5), (b"\xef\xbb\xbf", 0)],
+        ids=["utf8-comment", "byte-order-mark"],
+    )
+    def test_exits_2_naming_the_file_and_offset(
+        self, tmp_path, capsys, command, as_input, prefix, offset
+    ):
+        path = tmp_path / "table"
+        path.write_bytes(as_input(N3_TEXT).encode())
+        assert main([command, str(path)]) == 0  # the same input in ASCII is usable
+        capsys.readouterr()
+        path.write_bytes(prefix + as_input(N3_TEXT).encode())
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"finsemi: {path}: non-ASCII byte at offset {offset}\n")
+
+
 class TestOrderCapBeforeAssociativity:
     """aut, verify-theorem and build-inflation refuse an oversized table before scanning it."""
 

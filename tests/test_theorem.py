@@ -635,19 +635,19 @@ S6_CLASS_SPLIT = Permutation((0, 1, 2, 4, 3, 5))
 
 
 def _regrow(chain, generators):
-    """The chain on the same base, its orbits and Schreier vectors regrown from generators."""
+    """The chain on the same base, its transversals regrown from generators."""
     base, n = chain.base, len(chain.base)
     level = {g: next(k for k, b in enumerate(base) if g[b] != b) for g in generators}
     # deepest level first, as the search finds them, so those of level >= k are a prefix
     generators = sorted(generators, key=level.__getitem__, reverse=True)
-    grown = [
-        automorphisms._schreier(n, b, generators[: sum(level[g] >= k for g in generators)])
-        for k, b in enumerate(base)
-    ]
     return chain._replace(
         generators=tuple(generators),
-        vectors=tuple(tuple(vector) for vector, _ in grown),
-        orbits=tuple(tuple(orbit) for _, orbit in grown),
+        transversals=tuple(
+            automorphisms._transversal(
+                b, generators[: sum(level[g] >= k for g in generators)], tuple(range(n))
+            )
+            for k, b in enumerate(base)
+        ),
     )
 
 
@@ -669,23 +669,28 @@ def _without_class_swap(chain):
 
 
 def _first_orbit_cut_to_its_base_point(chain):
-    vector = list(chain.vectors[0])
-    for x in chain.orbits[0][1:]:
-        vector[x] = None
+    b = chain.base[0]
     return chain._replace(
-        orbits=(chain.orbits[0][:1],) + chain.orbits[1:],
-        vectors=(tuple(vector),) + chain.vectors[1:],
+        transversals=({b: chain.transversals[0][b]},) + chain.transversals[1:],
+    )
+
+
+def _replaced(chain, old, new):
+    """The chain with new in place of old as a generator and as a coset representative.
+
+    The transversals keep their points, so a sift divides by new where it divided by old.
+    """
+    assert old in chain.generators
+    return chain._replace(
+        generators=tuple(new if g == old else g for g in chain.generators),
+        transversals=tuple(
+            {z: new if t == old else t for z, t in reps.items()} for reps in chain.transversals
+        ),
     )
 
 
 def _split_in_place_of_class_swap(chain):
-    # orbits and Schreier vectors stay as the search left them
-    assert S6_CLASS_SWAP.images in chain.generators
-    return chain._replace(
-        generators=tuple(
-            S6_CLASS_SPLIT.images if g == S6_CLASS_SWAP.images else g for g in chain.generators
-        ),
-    )
+    return _replaced(chain, S6_CLASS_SWAP.images, S6_CLASS_SPLIT.images)
 
 
 class TestVerifyTheoremFlagsFail:
@@ -710,7 +715,7 @@ class TestVerifyTheoremFlagsFail:
     def test_s6_chain_holds_the_generators_the_faults_edit(self):
         chain = theorem._automorphism_chain(S6)
         assert S6_CLASS_SWAP.images in chain.generators
-        assert chain.base[0] == 0 and chain.orbits[0] == (0, 1)
+        assert chain.base[0] == 0 and tuple(chain.transversals[0]) == (0, 1)
         assert chain.order == 8
 
     def test_h_reduced_to_identity(self, monkeypatch):
@@ -801,15 +806,14 @@ class TestVerifyTheoremFlagsFail:
             chain = search(table, extra, **kwargs)
             if table is not S6:
                 return _regrow(chain, [swap])
-            return chain._replace(
-                generators=tuple(
-                    (0, 1, 3, 2, 5, 4) if g == (0, 1, 2, 5, 4, 3) else g for g in chain.generators
-                ),
-            )
+            return _replaced(chain, (0, 1, 2, 5, 4, 3), (0, 1, 3, 2, 5, 4))
 
         monkeypatch.setattr(theorem, "_automorphism_chain", faulty)
         witnesses = self.check((True, False, True, False), ("factorization", "g_normal"))
         assert witnesses["factorization"] == "h-bar generator (0, 1, 3, 2, 5, 4) not in aut"
+        assert witnesses["g_normal"] == (
+            "0 of 3 generators split a class, 1 of 2 class transpositions outside aut"
+        )
 
 
 def opposite(table):
