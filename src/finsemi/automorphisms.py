@@ -11,8 +11,10 @@ product set and x*x == x, plus one extra colour when the caller gives it
 (verify_theorem's h-class sizes and psi-class sizes), maps ids only onto
 ids of their own colour, and finds a stabilizer chain (base, strong
 generators, and at each level one coset representative per orbit point).
-The chain gives |Aut| as the product of the orbit lengths;
-enumerate_automorphisms lists the group by multiplying the
+Automorphisms the caller has checked, such as verify_theorem's class
+transpositions, enter as seeds, strong generators known before their
+level searches.  The chain gives |Aut| as the product of the orbit
+lengths; enumerate_automorphisms lists the group by multiplying the
 representatives.  Every search stops after max_nodes nodes, and
 _Chain.elements, the only listing, refuses more than
 DEFAULT_MAX_GROUP_ORDER elements before it builds any.
@@ -169,20 +171,14 @@ def _colours(table: CayleyTable) -> list[tuple[bool, bool]]:
     return [(x in products, rows[x][x] == x) for x in range(table.order)]
 
 
-def _plan(
-    table: CayleyTable, colours: list
-) -> tuple[list[int], list[list[int]], list[list[tuple[int, int, int]]]]:
-    """Search order, candidate cell per position, and triple bucket per position.
+def _plan(colours: list) -> tuple[list[int], list[list[int]]]:
+    """Search order and candidate cell per position.
 
     This is the set-up of _automorphism_chain.  Ids are grouped into cells
     of equal colour, smallest cell first with ties broken by least id, and
     in id order within a cell; each position tries only the ids of its own
-    cell.  bucket[k] holds the triples
-    (x, y, x*y) whose deepest id sits at search position k, so each product
-    is checked as soon as the images of its three ids are all assigned.
+    cell.
     """
-    n = table.order
-    rows = table.rows
     by_colour: dict = {}
     for x, colour in enumerate(colours):
         by_colour.setdefault(colour, []).append(x)
@@ -190,6 +186,15 @@ def _plan(
     cells = sorted(by_colour.values(), key=len)
     order = [x for cell in cells for x in cell]
     candidates = [cell for cell in cells for _ in cell]
+    return order, candidates
+
+
+def _buckets(rows: Sequence[Sequence[int]], order: list[int]) -> list[list[tuple[int, int, int]]]:
+    """Per search position, the triples (x, y, x*y) whose deepest id sits there.
+
+    So each product is checked once the images of its three ids are assigned.
+    """
+    n = len(order)
     position = [0] * n
     for k, x in enumerate(order):
         position[x] = k
@@ -201,7 +206,7 @@ def _plan(
             py, pz = position[y], position[z]
             k = px if px > py else py
             bucket[k if k > pz else pz].append((x, y, z))
-    return order, candidates, bucket
+    return bucket
 
 
 def _transversal(
@@ -287,6 +292,7 @@ def _automorphism_chain(
     table: CayleyTable,
     extra: Sequence | None = None,
     *,
+    seeds: Sequence[tuple[int, ...]] = (),
     max_order: int = DEFAULT_MAX_ORDER,
     max_nodes: int = DEFAULT_MAX_SEARCH,
 ) -> _Chain:
@@ -302,6 +308,11 @@ def _automorphism_chain(
     isomorphism II, 2014).  The subtrees tried are disjoint, so the search
     never visits more nodes than a backtracking search that lists every
     automorphism.  Each visited node counts against max_nodes.
+
+    seeds, automorphisms the caller has checked, join the generators of
+    the level of the first base point each moves before that level
+    searches, and prune like found ones.  The n^2 triple buckets are built
+    when a level first searches, so a chain the seeds complete needs none.
     """
     n = table.order
     check_table_order(n, max_order)
@@ -309,7 +320,11 @@ def _automorphism_chain(
     if extra is not None:
         colours = [c + (e,) for c, e in zip(colours, extra)]
     rows = table.rows
-    order, candidates, bucket = _plan(table, colours)
+    order, candidates = _plan(colours)
+    seeded: dict[int, list[tuple[int, ...]]] = {}
+    for g in seeds:
+        seeded.setdefault(next(k for k, b in enumerate(order) if g[b] != b), []).append(g)
+    bucket: list = []
     # every id starts fixed; level k frees base[k] before it searches
     img = list(range(n))
     used = [True] * n
@@ -344,10 +359,13 @@ def _automorphism_chain(
         b = order[k]
         img[b] = -1
         used[b] = False
+        generators += seeded.get(k, ())
         reps = _transversal(b, generators, ident)
         for v in candidates[k]:
             if used[v] or v in reps:
                 continue
+            if not bucket:
+                bucket = _buckets(rows, order)
             if first_leaf(k, (v,)):
                 generators.append(tuple(img))
                 for x in order[k:]:

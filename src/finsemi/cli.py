@@ -47,14 +47,21 @@ from .automorphisms import DEFAULT_MAX_ORDER, check_table_order, enumerate_autom
 
 
 def _read_input(path: str) -> str:
+    """The input text; MalformedInput at its first non-ASCII character, file or stdin alike.
+
+    Every character before that one is ASCII, so its offset is a byte offset.
+    """
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise MalformedInput(f"{path}: non-ASCII byte at offset {exc.start}") from None
+        if hasattr(sys.stdin, "reconfigure"):  # a strict locale decoding would raise instead
+            sys.stdin.reconfigure(errors="surrogateescape")
+        path, text = "<stdin>", sys.stdin.read()
+    else:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("latin-1")
+    if not text.isascii():
+        offset = next(i for i, c in enumerate(text) if not c.isascii())
+        raise MalformedInput(f"{path}: non-ASCII byte at offset {offset}")
+    return text
 
 
 def _read_capped_table(args):

@@ -44,7 +44,8 @@ class CayleyTable:
     and check_associativity reports the least failing triple.
     """
 
-    __slots__ = ("order", "rows")
+    # _structure holds core._structure's result from its first call on the table, else None
+    __slots__ = ("order", "rows", "_structure")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         grid = tuple(tuple(r) for r in rows)
@@ -59,6 +60,7 @@ class CayleyTable:
                 raise MalformedInput(f"entry ({i},{j}) = {row[j]!r} is not an id in 0..{n - 1}")
         self.order = n
         self.rows = grid
+        self._structure = None
 
     @classmethod
     def _unchecked(cls, grid: tuple[tuple[int, ...], ...]) -> "CayleyTable":
@@ -66,6 +68,7 @@ class CayleyTable:
         table = object.__new__(cls)
         table.order = len(grid)
         table.rows = grid
+        table._structure = None
         return table
 
     def __eq__(self, other: object) -> bool:
@@ -141,12 +144,7 @@ class CongruenceWitness(NamedTuple):
 
 def data_lines(text: str) -> list[str]:
     """Strip comment (#) and blank lines from a table document."""
-    out = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            out.append(stripped)
-    return out
+    return [s for line in text.splitlines() if (s := line.strip()) and s[0] != "#"]
 
 
 def table_from_lines(lines: Sequence[str]) -> tuple[CayleyTable, int]:
@@ -164,11 +162,12 @@ def table_from_lines(lines: Sequence[str]) -> tuple[CayleyTable, int]:
     rows = []
     for line in lines[1 : 1 + n]:
         try:
-            row = [int(tok) for tok in line.split()]
+            rows.append(tuple(map(int, line.split())))
         except ValueError:
             raise MalformedInput(f"non-integer entry in row {line!r}") from None
-        rows.append(row)
-    return CayleyTable(rows), 1 + n
+    if not all(len(row) == n and 0 <= min(row) and max(row) < n for row in rows):
+        CayleyTable(rows)  # raises the error of the first bad row
+    return CayleyTable._unchecked(tuple(rows)), 1 + n
 
 
 def parse_table(text: str, *, require_associative: bool = True) -> CayleyTable:
@@ -195,9 +194,8 @@ def check_associativity(table: CayleyTable) -> tuple[int, int, int] | None:
     Scans the triples over T in ascending order, which meets the least failing
     triple first (module docstring); when T is every id this is the full scan.
     """
-    rows = table.rows
-    reps = sorted(b[0] for b in _psi_blocks(_h_blocks(rows), product_set(table)))
-    return _first_failure(rows, reps)
+    # the psi blocks are ordered by least id
+    return _first_failure(table.rows, [b[0] for b in _structure(table)[2]])
 
 
 def refuse_non_associative(table: CayleyTable) -> None:
@@ -239,11 +237,26 @@ def relabel_table(table: CayleyTable, images: Sequence[int]) -> CayleyTable:
 
 
 def product_set(table: CayleyTable) -> frozenset[int]:
-    """All values x*y, i.e. the image of the multiplication."""
-    out: set[int] = set()
-    for row in table.rows:
-        out.update(row)
-    return frozenset(out)
+    """All values x*y, i.e. the image of the multiplication.
+
+    Read off _structure once computed, else computed alone (as for the H search's T).
+    """
+    structure = table._structure
+    return structure[0] if structure else frozenset().union(*table.rows)
+
+
+def _structure(table: CayleyTable) -> tuple[frozenset[int], tuple, tuple]:
+    """The product set, the h blocks and the psi blocks, computed once per table.
+
+    The blocks are ascending tuples in order of least id.  The result is
+    kept on the table, which nothing changes after it is built.
+    """
+    if table._structure is None:
+        rows, prods = table.rows, product_set(table)
+        h_blocks = _h_blocks(rows)
+        psi_blocks = sorted(map(tuple, _psi_blocks(h_blocks, prods)))
+        table._structure = (prods, tuple(map(tuple, h_blocks)), tuple(psi_blocks))
+    return table._structure
 
 
 def _h_blocks(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -266,12 +279,12 @@ def compute_h(table: CayleyTable) -> Partition:
     a and b are related when a*x = b*x and x*a = x*b for every x, which is
     row a == row b together with column a == column b.
     """
-    return Partition._unchecked(table.order, _h_blocks(table.rows))
+    return Partition._unchecked(table.order, _structure(table)[1])
 
 
 def compute_psi(table: CayleyTable) -> Partition:
     """Products stay singletons; non-products are grouped by the h relation."""
-    return Partition._unchecked(table.order, _psi_blocks(_h_blocks(table.rows), product_set(table)))
+    return Partition._unchecked(table.order, _structure(table)[2])
 
 
 def is_congruence(p: Partition, table: CayleyTable) -> CongruenceWitness | None:

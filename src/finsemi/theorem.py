@@ -6,12 +6,15 @@ and split every automorphism into a part that fixes each psi class setwise
 (the extendable part).  verify_theorem re-derives Aut independently, as a
 stabilizer chain found by search, and H the same way on T, and checks
 Aut = G x| H-bar on their strong generators alone: G is a predicate
-generated by the class transpositions, normality is "every generator
-permutes the classes", pi = phi * inverse(tau_bar) fixes every class by
-construction, and the uniqueness of pi * tau_bar follows by counting
-|Aut| = |G| * |H|.  Nothing is listed, so the work grows with the
-search, not with |Aut|, and |G| has no cap.  One structure pass per table
-gives h, psi from it and the class position of every id, all reused; the
+generated by the class transpositions, G <= Aut is read off the table (each
+class transposition swaps equal rows and equal columns of two
+non-products), normality is "every generator permutes the classes",
+pi = phi * inverse(tau_bar) fixes every class by construction, and the
+uniqueness of pi * tau_bar follows by counting |Aut| = |G| * |H|.  The
+class transpositions seed the Aut search, which then searches only for
+the generators outside G.  Nothing is listed, so the work grows with the
+search, not with |Aut|, and |G| has no cap.  The table's one structure
+pass (core._structure) gives the products, h and psi, all reused; the
 size of each id's h class colours the Aut search, as an automorphism maps
 h classes onto h classes.  The generators stay image tuples throughout:
 H-bar is the sorted set of their lifts, and no group object is built.
@@ -51,7 +54,7 @@ from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused
     inverse,
     subgroup_checks,
 )
-from .core import CayleyTable, Partition, _is_arrangement, _psi_blocks, compute_h, product_set
+from .core import CayleyTable, Partition, _is_arrangement, _structure, compute_h
 from .core import compute_psi  # noqa: F401  bench/tracing.py looks it up here
 from .errors import MalformedInput, NotAnAutomorphism, NotExtendable, OrderTooLarge
 from .inflation import (
@@ -204,6 +207,18 @@ def _class_action(
     return tau
 
 
+def _is_class_swap(rows, prods: frozenset[int], x: int, y: int) -> bool:
+    """Whether x and y are non-products with equal rows and columns, in O(n).
+
+    Then swapping them changes no product and no product is either, so the
+    transposition (x y) is an automorphism; by (R) and (P) it holds for any
+    two ids of one psi class.
+    """
+    if x in prods or y in prods or rows[x] != rows[y]:
+        return False
+    return all(row[x] == row[y] for row in rows)
+
+
 def _h_bar(generators: Sequence[Sequence[int]], scheme: ExtensionScheme) -> list[tuple[int, ...]]:
     """The lifts of the H generators, sorted and without repeats, as embed_h lists them."""
     return sorted({_lift(g, scheme) for g in generators})
@@ -302,10 +317,11 @@ def verify_theorem(
     every automorphism keeps, and H on T with the psi-class sizes as one.
     Every check runs on generators, as image tuples.  G, a predicate (fix
     every psi class), lies in Aut when each transposition of adjacent ids
-    in a class sifts through the chain (a product of strong generators,
-    each a search leaf that passed every product check, so no scan is
-    needed), and is normal when every strong generator permutes the
-    classes.  H-bar lies in Aut when each lifted H generator is an
+    in a class passes _is_class_swap, an O(n) check on the table; each
+    one that passes seeds the Aut search, which then finds only the
+    generators outside G, and each one that fails is counted in the
+    g_normal witness.  G is normal when every strong generator permutes
+    the classes.  H-bar lies in Aut when each lifted H generator is an
     automorphism, and meets G trivially when each is the lift of its own
     class action.  Each strong generator phi splits as pi * tau_bar, with
     tau its class action, which sifts through the H chain and so is in
@@ -322,11 +338,22 @@ def verify_theorem(
     n = table.order
     budget = DEFAULT_MAX_SEARCH
     check_table_order(n, max_order)  # first, so that the cap refuses before any other work
+    prods, _, psi_blocks = _structure(table)
     h_rel = compute_h(table)
+    psi = Partition._unchecked(n, psi_blocks)
+    # The adjacent transpositions of each class generate G; each one that passes
+    # _is_class_swap is an automorphism and seeds the Aut search.
+    rows, seeds = table.rows, []
+    swaps = [(x, y) for b in psi_blocks if len(b) > 1 for x, y in zip(b, b[1:])]
+    for x, y in swaps:
+        if _is_class_swap(rows, prods, x, y):
+            images = list(range(n))
+            images[x], images[y] = y, x
+            seeds.append(tuple(images))
+    outside = len(swaps) - len(seeds)
     # every automorphism maps h classes onto h classes, so it keeps each id's class size
     twins = [len(h_rel.blocks[b]) for b in h_rel.block_of]
-    aut = _automorphism_chain(table, twins, max_order=max_order, max_nodes=budget)
-    psi = Partition._unchecked(n, _psi_blocks(h_rel.blocks, product_set(table)))
+    aut = _automorphism_chain(table, twins, seeds=seeds, max_order=max_order, max_nodes=budget)
     predicted_g = predicted_class_group_order(psi)
     t = choose_transversal(psi, policy, seed)
     reps, pos = t.representatives, _class_positions(psi, t.representatives)
@@ -364,20 +391,11 @@ def verify_theorem(
     # generate G.
     taus = [_class_action(phi, pos, reps) for phi in aut.generators]
     splits = taus.count(None)
-    # A transposition that sifts is a product of strong generators, each a search
-    # leaf that passed every product check, so it needs no scan of its own.
-    swaps = outside = 0
-    for block in psi.blocks:
-        for x, y in zip(block, block[1:]):
-            images = list(range(n))
-            images[x], images[y] = y, x
-            swaps += 1
-            outside += not aut.sift(images)
     g_is_normal = splits == 0 and outside == 0
     if not g_is_normal:
         witnesses["g_normal"] = (
             f"{splits} of {len(aut.generators)} generators split a class, "
-            f"{outside} of {swaps} class transpositions outside aut"
+            f"{outside} of {len(swaps)} class transpositions outside aut"
         )
 
     # Lifting is a homomorphism and the class action undoes it on every

@@ -245,6 +245,42 @@ class TestNonAsciiFile:
         assert capsys.readouterr() == ("", f"finsemi: {path}: non-ASCII byte at offset {offset}\n")
 
 
+class TestOneStructurePass:
+    """Each command computes the h blocks of its table once, for the scan and the pipeline."""
+
+    @pytest.mark.parametrize("command", ["check", "analyze", "verify-theorem"])
+    def test_h_blocks_once_per_table(self, tmp_path, monkeypatch, capsys, command):
+        calls = []
+        h_blocks = core._h_blocks
+
+        def counted(rows):
+            calls.append(rows)
+            return h_blocks(rows)
+
+        monkeypatch.setattr(core, "_h_blocks", counted)
+        assert main([command, write(tmp_path, "s6", S6_TEXT)]) == 0
+        assert calls == [S6.rows]
+
+
+class TestNonAsciiStdin:
+    """Stdin follows the file rule: exit 2 at the first non-ASCII character, named <stdin>."""
+
+    @pytest.mark.parametrize(
+        "comment", ["# café\n".encode(), "# café\n".encode("latin-1")], ids=["utf8", "latin1"]
+    )
+    def test_exits_2_naming_stdin_and_offset(self, monkeypatch, capsys, comment):
+        # a strict UTF-8 reader, as a UTF-8 locale gives, which cannot decode the Latin-1 byte
+        stdin = io.TextIOWrapper(io.BytesIO(comment + N3_TEXT.encode()), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["check"]) == 2
+        assert capsys.readouterr() == ("", "finsemi: <stdin>: non-ASCII byte at offset 5\n")
+
+    def test_text_stream_without_a_byte_buffer(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("# café\n" + N3_TEXT))
+        assert main(["check"]) == 2
+        assert capsys.readouterr() == ("", "finsemi: <stdin>: non-ASCII byte at offset 5\n")
+
+
 class TestOrderCapBeforeAssociativity:
     """aut, verify-theorem and build-inflation refuse an oversized table before scanning it."""
 

@@ -44,6 +44,7 @@ from finsemi import (
     inverse,
     is_automorphism,
     predicted_class_group_order,
+    product_set,
     psi_class_group,
     relabel_table,
     restrict_to_subsemigroup,
@@ -166,11 +167,11 @@ def _direct_product(a, b):
     )
 
 
-def _inflation(data):
-    """A Hypothesis-drawn inflation of an order <= 3 base, at most order 7, relabelled."""
+def _inflation(data, max_order=7):
+    """A Hypothesis-drawn inflation of an order <= 3 base, at most max_order, relabelled."""
     base = data.draw(st.sampled_from(SMALL_SEMIGROUPS))
     sizes = [1] * base.order
-    for _ in range(data.draw(st.integers(0, 7 - base.order))):
+    for _ in range(data.draw(st.integers(0, max_order - base.order))):
         sizes[data.draw(st.integers(0, base.order - 1))] += 1
     inflated, _ = build_inflation(FiberSizeSpec(base, tuple(sizes)))
     return relabel_table(inflated, data.draw(st.permutations(range(inflated.order))))
@@ -443,7 +444,8 @@ class TestVerifyTheorem:
         sub, old_ids = restrict_to_subsemigroup(S6, t.representatives)
         sizes = tuple(len(psi.block_containing(x)) for x in old_ids)
         search = theorem._automorphism_chain
-        nodes = search(S6).nodes + search(sub, sizes).nodes
+        class_swaps = [S6_CLASS_SWAP.images, (0, 1, 2, 5, 4, 3)]  # (2 4) and (3 5) seed Aut's
+        nodes = search(S6, seeds=class_swaps).nodes + search(sub, sizes).nodes
         monkeypatch.setattr(theorem, "DEFAULT_MAX_SEARCH", nodes)
         assert verify_theorem(S6).all_flags
         monkeypatch.setattr(theorem, "DEFAULT_MAX_SEARCH", nodes - 1)
@@ -663,6 +665,12 @@ def _on_s6(edit, *, h=False):
     return patched
 
 
+def _refusing(x, y):
+    """_is_class_swap with the transposition (x y) refused, so it neither seeds nor counts in G."""
+    check = theorem._is_class_swap
+    return lambda rows, prods, a, b: (a, b) != (x, y) and check(rows, prods, a, b)
+
+
 def _without_class_swap(chain):
     assert S6_CLASS_SWAP.images in chain.generators
     return _regrow(chain, [g for g in chain.generators if g != S6_CLASS_SWAP.images])
@@ -696,8 +704,10 @@ def _split_in_place_of_class_swap(chain):
 class TestVerifyTheoremFlagsFail:
     """Each flag goes false, with its witness, when one input to it is broken.
 
-    The faults go in at the stabilizer chains that verify_theorem reads and
-    at the lifted H generators.
+    The faults go in at the stabilizer chains that verify_theorem reads, at
+    the lifted H generators, and at the check of the class transpositions
+    that seed the Aut search: a chain missing a class transposition is
+    first missing its seed, or the search would put it back.
     """
 
     def check(self, expected_flags, expected_keys):
@@ -727,6 +737,7 @@ class TestVerifyTheoremFlagsFail:
         assert witnesses["identity"] == "aut 8 != g 4 * h 1"
 
     def test_aut_missing_a_class_fixing_element(self, monkeypatch):
+        monkeypatch.setattr(theorem, "_is_class_swap", _refusing(2, 4))
         monkeypatch.setattr(theorem, "_automorphism_chain", _on_s6(_without_class_swap))
         witnesses = self.check(
             (False, False, True, False), ("factorization", "g_normal", "identity")
@@ -785,6 +796,7 @@ class TestVerifyTheoremFlagsFail:
         assert verify_theorem(S6).to_text().endswith(f"witnesses: 1\nwitness {key}: {text}\n")
 
     def test_class_splitting_map_in_place_of_a_class_fixing_one(self, monkeypatch):
+        monkeypatch.setattr(theorem, "_is_class_swap", _refusing(2, 4))
         monkeypatch.setattr(theorem, "_automorphism_chain", _on_s6(_split_in_place_of_class_swap))
         witnesses = self.check((True, False, True, False), ("factorization", "g_normal"))
         assert witnesses["factorization"] == (
@@ -808,6 +820,7 @@ class TestVerifyTheoremFlagsFail:
                 return _regrow(chain, [swap])
             return _replaced(chain, (0, 1, 2, 5, 4, 3), (0, 1, 3, 2, 5, 4))
 
+        monkeypatch.setattr(theorem, "_is_class_swap", _refusing(3, 5))
         monkeypatch.setattr(theorem, "_automorphism_chain", faulty)
         witnesses = self.check((True, False, True, False), ("factorization", "g_normal"))
         assert witnesses["factorization"] == "h-bar generator (0, 1, 3, 2, 5, 4) not in aut"
@@ -879,6 +892,65 @@ class TestTwinColouredAutSearch:
             _assert_twin_chain_is_the_plain_chain(table)
             twins += len(set(_twin_sizes(table))) > 1
         assert twins > 250  # most tables get more than one colour from the sizes
+
+
+def _assert_seeded_chain_is_the_unseeded_chain(table):
+    """The class transpositions pass the O(n) check exactly when they are automorphisms,
+    and seeding the Aut search with them, as verify_theorem does, finds the same group."""
+    n, rows, prods = table.order, table.rows, product_set(table)
+    seeds = []
+    for block in compute_psi(table).blocks:
+        for x, y in zip(block, block[1:]):
+            images = list(range(n))
+            images[x], images[y] = y, x
+            passes = theorem._is_class_swap(rows, prods, x, y)
+            assert passes == is_automorphism(table, Permutation(images)), (table, x, y)
+            seeds.append(tuple(images))
+    twins = _twin_sizes(table)
+    seeded = theorem._automorphism_chain(table, twins, seeds=seeds)
+    unseeded = theorem._automorphism_chain(table, twins)
+    assert seeded.order == unseeded.order, table
+    assert seeded.nodes <= unseeded.nodes, table
+    assert all(unseeded.sift(g) for g in seeded.generators), table
+    assert all(seeded.sift(g) for g in unseeded.generators), table
+
+
+SEMILATTICE = CayleyTable([[0, 0, 0], [0, 1, 0], [0, 0, 2]])  # 1 * 2 = 0
+
+
+class TestSeededAutSearch:
+    """Seeds are strong generators found without search, so the chain stays exact."""
+
+    def test_every_semigroup_of_order_at_most_four(self, corpus_by_order):
+        for tables in corpus_by_order.values():
+            for table in tables:
+                _assert_seeded_chain_is_the_unseeded_chain(table)
+
+    def test_every_magma_of_order_three(self):
+        for vals in itertools.product(range(3), repeat=9):
+            _assert_seeded_chain_is_the_unseeded_chain(
+                CayleyTable([vals[0:3], vals[3:6], vals[6:9]])
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_relabelled_inflations_up_to_order_twelve(self, data):
+        _assert_seeded_chain_is_the_unseeded_chain(_inflation(data, 12))
+
+    def test_semilattice_inflated_to_order_100_needs_no_aut_search(self, monkeypatch):
+        table, _ = build_inflation(FiberSizeSpec(SEMILATTICE, (1, 49, 50)), max_order=100)
+        chains = []
+        search = theorem._automorphism_chain
+
+        def recorded(*args, **kwargs):
+            chains.append(search(*args, **kwargs))
+            return chains[-1]
+
+        monkeypatch.setattr(theorem, "_automorphism_chain", recorded)
+        report = verify_theorem(table, max_order=100)
+        assert report.all_flags and report.witnesses == ()
+        assert report.aut_order == math.factorial(48) * math.factorial(49)
+        assert chains[0].order == report.aut_order and chains[0].nodes == 0
 
 
 UP_TO_ISO = {n: list(enumerate_semigroups(EnumerationTask(n, "up_to_iso"))) for n in (1, 2, 3, 4)}
