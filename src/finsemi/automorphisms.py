@@ -164,29 +164,27 @@ def is_automorphism(table: CayleyTable, p: Permutation) -> bool:
     return automorphism_witness(table, p) is None
 
 
-def _colours(table: CayleyTable) -> list[tuple[bool, bool]]:
-    """Per id: (is a product, is idempotent); every automorphism keeps both."""
-    rows = table.rows
-    products = product_set(table)
-    return [(x in products, rows[x][x] == x) for x in range(table.order)]
+def _plan(table: CayleyTable, extra: Sequence | None) -> tuple[list[int], list, list[int]]:
+    """Search order, candidate cell per position, and where each cell ends.
 
-
-def _plan(colours: list) -> tuple[list[int], list[list[int]]]:
-    """Search order and candidate cell per position.
-
-    This is the set-up of _automorphism_chain.  Ids are grouped into cells
-    of equal colour, smallest cell first with ties broken by least id, and
-    in id order within a cell; each position tries only the ids of its own
-    cell.
+    This is the set-up of _automorphism_chain.  Each id is coloured by two
+    invariants every automorphism keeps, (is a product, is idempotent),
+    and by its entry of extra when given.  Ids are grouped into cells of
+    equal colour, smallest cell first with ties broken by least id, and in
+    id order within a cell; each position tries only the ids of its own
+    cell, and ends[k] is the position after the last one of k's cell.
     """
+    rows, products = table.rows, product_set(table)
     by_colour: dict = {}
-    for x, colour in enumerate(colours):
-        by_colour.setdefault(colour, []).append(x)
+    for x, e in enumerate(extra if extra is not None else [None] * table.order):
+        by_colour.setdefault((x in products, rows[x][x] == x, e), []).append(x)
     # sorted() is stable, so equal-sized cells keep the order of their least ids
-    cells = sorted(by_colour.values(), key=len)
-    order = [x for cell in cells for x in cell]
-    candidates = [cell for cell in cells for _ in cell]
-    return order, candidates
+    order, candidates, ends = [], [], []
+    for cell in sorted(by_colour.values(), key=len):
+        order += cell
+        candidates += [cell] * len(cell)
+        ends += [len(order)] * len(cell)
+    return order, candidates, ends
 
 
 def _buckets(rows: Sequence[Sequence[int]], order: list[int]) -> list[list[tuple[int, int, int]]]:
@@ -316,11 +314,8 @@ def _automorphism_chain(
     """
     n = table.order
     check_table_order(n, max_order)
-    colours = _colours(table)
-    if extra is not None:
-        colours = [c + (e,) for c, e in zip(colours, extra)]
     rows = table.rows
-    order, candidates = _plan(colours)
+    order, candidates, ends = _plan(table, extra)
     seeded: dict[int, list[tuple[int, ...]]] = {}
     for g in seeds:
         seeded.setdefault(next(k for k, b in enumerate(order) if g[b] != b), []).append(g)
@@ -359,10 +354,14 @@ def _automorphism_chain(
         b = order[k]
         img[b] = -1
         used[b] = False
-        generators += seeded.get(k, ())
-        reps = _transversal(b, generators, ident)
-        for v in candidates[k]:
-            if used[v] or v in reps:
+        if k in seeded:
+            generators += seeded[k]
+            reps = _transversal(b, generators, ident)
+        else:  # every generator so far fixes base[k]
+            reps = {b: ident}
+        # base[0..k-1] are fixed, so the ids after b in its cell are all free
+        for v in order[k + 1 : ends[k]]:
+            if v in reps:
                 continue
             if not bucket:
                 bucket = _buckets(rows, order)

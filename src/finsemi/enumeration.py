@@ -1,19 +1,21 @@
 """Exhaustive generation of small multiplication tables.
 
-The generator fills table cells one at a time and tries at each cell only
-the values that fail no fully determined associativity triple, so only
-semigroups reach the leaves.  A triple that reads the cell only as (ab)c
-or as a(bc) forces its value, and two different forced values close the
-branch; the forced value, or every value when none is forced, is then
-checked against the triples that read the cell as ab or as bc.  The set
-cells are indexed by value, so the forcing triples are read off two lists.
+The generator fills table cells one at a time, one generator frame per
+cell, and tries at each cell only the values that fail no fully determined
+associativity triple, so only semigroups reach the leaves.  A triple that
+reads the cell only as (ab)c or as a(bc) forces its value, and two
+different forced values close the branch; the forced value, or every
+value when none is forced, is then checked against the triples that read
+the cell as ab or as bc.  The set cells are indexed by value, so the
+forcing triples are read off two lists.
 
 Canonical forms take the least encoding over the n! relabelings, which is
 affordable at the orders this tool targets: a plan cached per order lists
 each relabeling's images and, for each row-major position, the flat index
 its entry comes from, grouped by the ids sent to 0 and 1.  Only the groups
-whose first two entries can be least are read, and a candidate is dropped
-at the first position where it differs from the least encoding so far.
+whose first two entries can be least are read, a candidate is dropped at
+the first position where it differs from the least encoding so far, and
+a table that no relabeling encodes smaller is returned as it is.
 """
 
 from __future__ import annotations
@@ -48,65 +50,76 @@ class EnumerationTask:
             raise MalformedInput(f"unknown mode {self.mode!r}, expected one of {MODES}")
 
 
-def _candidates(
-    g: list[list[int]], at: list[list[tuple[int, int]]], i: int, j: int
-) -> list[int]:
-    """The values, ascending, that the unset cell (i, j) can take.
+def _fill(
+    grid: list[list[int]], at: list[list[tuple[int, int]]], cells: list[tuple[int, int]]
+) -> Iterator[CayleyTable]:
+    """Set the cells in turn, yielding the grid as a table at each leaf.
 
     at[v] lists the set cells that hold v.  A triple (a, b, c) reads (a,b),
     (b,c), (ab,c) and (a,bc) and fails only when all four are set (not -1)
-    and (ab)c != a(bc); v is a candidate when no triple fails once (i, j)
-    holds v.  A triple that reads (i, j) only as (ab,c) or as (a,bc) has
-    ab = i or bc = j, so at[i] and at[j] list every one of them; each
-    forces a value, and the forced value, or every value, is then tried
-    against the triples that read (i, j) as (a,b) or as (b,c).  The grid
-    and at are left as they were.
+    and (ab)c != a(bc); a cell takes, ascending, each value v for which no
+    triple fails once it holds v.  A triple that reads cell (i, j) only as
+    (ab,c) or as (a,bc) has ab = i or bc = j, so at[i] and at[j] list every
+    one of them, and each forces a value; the forced value, or every value,
+    is tried against the triples that read (i, j) as (a,b) or as (b,c).
+    Run to the end, the fill leaves the grid and at as they were.
     """
-    n = len(g)
-    gi = g[i]
-    forced = -1
-    for a, b in at[i]:  # (a, b, j) with ab = i: v = a(bj)
-        y = g[b][j]
-        if y >= 0:
-            q = g[a][y]
-            if q >= 0 and q != forced:
-                if forced >= 0:
-                    return []
-                forced = q
-    for b, c in at[j]:  # (i, b, c) with bc = j: v = (ib)c
-        u = gi[b]
-        if u >= 0:
-            p = g[u][c]
-            if p >= 0 and p != forced:
-                if forced >= 0:
-                    return []
-                forced = p
-    gj = g[j]
-    out = []
-    for v in range(n) if forced < 0 else (forced,):
-        gi[j] = v
-        gv = g[v]
-        for c in range(n):  # (i, j, c)
-            y = gj[c]
+    n = len(grid)
+    values = range(n)
+    last = len(cells) - 1
+
+    def fill(k: int) -> Iterator[CayleyTable]:
+        i, j = cell = cells[k]
+        gi = grid[i]
+        forced = -1
+        for a, b in at[i]:  # (a, b, j) with ab = i: v = a(bj)
+            y = grid[b][j]
             if y >= 0:
-                p = gv[c]
-                if p >= 0:
-                    q = gi[y]
-                    if q >= 0 and p != q:
-                        break
-        else:
-            for row in g:  # (a, i, j)
-                u = row[i]
-                if u >= 0:
-                    p = g[u][j]
+                q = grid[a][y]
+                if q >= 0 and q != forced:
+                    if forced >= 0:
+                        return
+                    forced = q
+        for b, c in at[j]:  # (i, b, c) with bc = j: v = (ib)c
+            u = gi[b]
+            if u >= 0:
+                p = grid[u][c]
+                if p >= 0 and p != forced:
+                    if forced >= 0:
+                        return
+                    forced = p
+        gj = grid[j]
+        for v in values if forced < 0 else (forced,):
+            gi[j] = v
+            gv = grid[v]
+            for c in values:  # (i, j, c)
+                y = gj[c]
+                if y >= 0:
+                    p = gv[c]
                     if p >= 0:
-                        q = row[v]
+                        q = gi[y]
                         if q >= 0 and p != q:
                             break
             else:
-                out.append(v)
-    gi[j] = -1
-    return out
+                for row in grid:  # (a, i, j)
+                    u = row[i]
+                    if u >= 0:
+                        p = grid[u][j]
+                        if p >= 0:
+                            q = row[v]
+                            if q >= 0 and p != q:
+                                break
+                else:
+                    if k == last:  # every cell is set: a leaf
+                        yield CayleyTable._unchecked(tuple(map(tuple, grid)))
+                    else:
+                        held = at[v]
+                        held.append(cell)
+                        yield from fill(k + 1)
+                        held.pop()
+        gi[j] = -1
+
+    return fill(0)
 
 
 def check_enumeration_order(task: EnumerationTask, max_order: int = DEFAULT_MAX_ENUM_ORDER):
@@ -132,26 +145,7 @@ def enumerate_semigroups(
     check_enumeration_order(task, max_order)
     n = task.order
     cells = [(i, j) for i in range(n) for j in range(n)]
-    grid = [[-1] * n for _ in range(n)]
-    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # at[v]: the set cells holding v
-    last = len(cells) - 1
-
-    def fill(k: int) -> Iterator[CayleyTable]:
-        cell = cells[k]
-        i, j = cell
-        row = grid[i]
-        for v in _candidates(grid, at, i, j):
-            row[j] = v
-            if k == last:  # every cell is set: a leaf
-                yield CayleyTable._unchecked(tuple(map(tuple, grid)))
-            else:
-                held = at[v]
-                held.append(cell)
-                yield from fill(k + 1)
-                held.pop()
-        row[j] = -1
-
-    for table in fill(0):
+    for table in _fill([[-1] * n for _ in range(n)], [[] for _ in range(n)], cells):
         if task.mode == "labelled" or canonicalize(table) == table:
             yield table
 
@@ -185,7 +179,8 @@ def canonicalize(table: CayleyTable) -> CayleyTable:
     with 0 when some a is idempotent (b any other id), else with 1 (b = aa),
     and over those pairs its second entry is 0 when some ab = a, else 1 when
     some ab = b.  Only the pairs (a, b) that reach that start are read, all
-    of them when neither product occurs.  No axiom is assumed.  Orders over
+    of them when neither product occurs.  No axiom is assumed.  The result
+    is the table itself exactly when it is canonical.  Orders over
     DEFAULT_MAX_CANON_ORDER are refused.
     """
     n = table.order
@@ -194,14 +189,17 @@ def canonicalize(table: CayleyTable) -> CayleyTable:
     rows = table.rows
     idempotents = [a for a in range(n) if rows[a][a] == a]
     if idempotents:
-        pairs = [(a, b) for a in idempotents for b in range(n) if b != a]
+        pairs = (
+            [(a, b) for a in idempotents for b, x in enumerate(rows[a]) if x == a != b]
+            or [(a, b) for a in idempotents for b, x in enumerate(rows[a]) if x == b != a]
+            or [(a, b) for a in idempotents for b in range(n) if b != a]
+        )
     else:
-        pairs = [(a, rows[a][a]) for a in range(n)]
-    pairs = (
-        [(a, b) for a, b in pairs if rows[a][b] == a]
-        or [(a, b) for a, b in pairs if rows[a][b] == b]
-        or pairs
-    )
+        pairs = (
+            [(a, row[a]) for a, row in enumerate(rows) if row[row[a]] == a]
+            or [(a, row[a]) for a, row in enumerate(rows) if row[row[a]] == row[a]]
+            or [(a, row[a]) for a, row in enumerate(rows)]
+        )
     flat = [v for row in rows for v in row]
     best = flat[:]  # the identity relabeling
     size = n * n
@@ -219,7 +217,9 @@ def canonicalize(table: CayleyTable) -> CayleyTable:
                         for q in range(p + 1, size):
                             best[q] = images[flat[src[q]]]
                     break
-    return CayleyTable._unchecked(tuple(tuple(best[k : k + n]) for k in range(0, size, n)))
+    if best == flat:  # no relabeling reads smaller
+        return table
+    return CayleyTable._unchecked(tuple(map(tuple, zip(*[iter(best)] * n))))
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ A reduced table, every psi class a singleton, has T = S, G = 1 and
 Aut = H-bar = H, and then there is one search: restricting to every id
 renumbers nothing and the class sizes are all 1, a colour every id shares,
 so H is Aut itself and the Aut chain is a stabilizer chain of it.  The
-pipeline's own partitions, transversal, retraction and listings are valid
-by construction and are built without re-validation; the public
+pipeline's own partitions, transversal, retraction, listings and T's table
+are valid by construction and are built without re-validation; the public
 constructors keep every check.
 """
 
@@ -57,7 +57,7 @@ from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused
 from .core import CayleyTable, Partition, _is_arrangement, _structure, compute_h
 from .core import compute_psi  # noqa: F401  bench/tracing.py looks it up here
 from .errors import MalformedInput, NotAnAutomorphism, NotExtendable, OrderTooLarge
-from .inflation import (
+from .inflation import (  # noqa: F401  bench/tracing.py looks up restrict_to_subsemigroup here
     Transversal,
     _rep_of_block,
     choose_transversal,
@@ -371,7 +371,8 @@ def verify_theorem(
     if len(reps) == n:
         h = aut  # T = S: H is Aut itself
     else:
-        sub, _ = restrict_to_subsemigroup(table, reps)
+        # T holds every product by (P), a singleton class, so pos renumbers T in order
+        sub = CayleyTable._unchecked(tuple(tuple([pos[rows[a][b]] for b in reps]) for a in reps))
         class_sizes = tuple(map(len, scheme.listings))
         try:
             h = _automorphism_chain(

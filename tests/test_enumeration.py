@@ -19,7 +19,7 @@ from finsemi import (
     parse_table,
     relabel_table,
 )
-from finsemi.enumeration import _candidates, check_enumeration_order
+from finsemi.enumeration import _fill, check_enumeration_order
 from support import (
     N3,
     naive_canonical_rows,
@@ -66,13 +66,18 @@ def value_index(grid) -> list[list[tuple[int, int]]]:
     return at
 
 
+def cell_values(grid, at, i, j) -> list[int]:
+    """The values the fill takes at the unset cell (i, j): its leaves with that cell alone."""
+    return [table.rows[i][j] for table in _fill(grid, at, [(i, j)])]
+
+
 class TestCandidates:
     def test_matches_naive_oracle_on_random_partial_grids(self):
         seen = {"i == j": 0, "none": 0, "only i": 0, "several": 0}
         for grid, i, j in partial_grids(61, 1000):
             before = [row[:] for row in grid]
             at = value_index(grid)
-            got = _candidates(grid, at, i, j)
+            got = cell_values(grid, at, i, j)
             assert got == naive_cell_candidates(before, i, j), (before, i, j)
             assert grid == before
             assert at == value_index(before)
@@ -103,9 +108,18 @@ class TestCandidates:
         grid = [row[:] for row in rows]
         assert naive_cell_candidates(rows, i, j) == expected
         at = value_index(grid)
-        assert _candidates(grid, at, i, j) == expected
+        assert cell_values(grid, at, i, j) == expected
         assert grid == rows
         assert at == value_index(rows)
+
+    def test_two_cells_restore_the_index(self):
+        # a non-final cell files its value in at while the next cell runs
+        grid, at = [[-1] * 2 for _ in range(2)], [[], []]
+        leaves = [table.rows for table in _fill(grid, at, [(0, 0), (0, 1)])]
+        assert leaves == [((0, 0), (-1, -1)), ((0, 1), (-1, -1)), ((1, 0), (-1, -1)),
+                          ((1, 1), (-1, -1))]
+        assert grid == [[-1, -1], [-1, -1]]
+        assert at == [[], []]
 
 
 class TestEnumerationTask:
@@ -270,6 +284,26 @@ class TestCanonicalize:
         for _ in range(12):
             rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
             assert canonicalize(CayleyTable(rows)).rows == naive_canonical_rows(rows)
+
+    def test_returns_the_table_itself_exactly_when_it_is_canonical(
+        self, corpus_by_order, naive_canonical_by_order
+    ):
+        kept = 0
+        for n, tables in corpus_by_order.items():
+            for table, expected in zip(tables, naive_canonical_by_order[n]):
+                canonical = table.rows == expected
+                assert (canonicalize(table) is table) == canonical, table.rows
+                kept += canonical
+        assert kept == 1 + 5 + 24 + 188  # OEIS A027851
+        # random tables are rarely canonical, so each is paired with its canonical form
+        rng = random.Random(73)
+        for n in (1, 5, 6):
+            for _ in range(8):
+                rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                expected = naive_canonical_rows(rows)
+                for table in (CayleyTable(rows), CayleyTable(expected)):
+                    canonical = table.rows == expected
+                    assert (canonicalize(table) is table) == canonical, table.rows
 
     def test_order_bound(self):
         big = CayleyTable([[0] * 7 for _ in range(7)])
