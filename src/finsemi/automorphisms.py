@@ -291,7 +291,6 @@ def _automorphism_chain(
     extra: Sequence | None = None,
     *,
     seeds: Sequence[tuple[int, ...]] = (),
-    max_order: int = DEFAULT_MAX_ORDER,
     max_nodes: int = DEFAULT_MAX_SEARCH,
 ) -> _Chain:
     """Stabilizer chain of Aut(table) by an orbit-pruned backtracking search.
@@ -305,7 +304,7 @@ def _automorphism_chain(
     generators already known (compare McKay and Piperno, Practical graph
     isomorphism II, 2014).  The subtrees tried are disjoint, so the search
     never visits more nodes than a backtracking search that lists every
-    automorphism.  Each visited node counts against max_nodes.
+    automorphism.  Each visited node counts against max_nodes, its only cap.
 
     seeds, automorphisms the caller has checked, join the generators of
     the level of the first base point each moves before that level
@@ -313,7 +312,6 @@ def _automorphism_chain(
     when a level first searches, so a chain the seeds complete needs none.
     """
     n = table.order
-    check_table_order(n, max_order)
     rows = table.rows
     order, candidates, ends = _plan(table, extra)
     seeded: dict[int, list[tuple[int, ...]]] = {}
@@ -378,9 +376,10 @@ def _automorphism_chain(
 def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:
     """All automorphisms, expanded from the stabilizer chain (see _Chain.elements).
 
-    OrderTooLarge past DEFAULT_MAX_SEARCH search nodes or DEFAULT_MAX_GROUP_ORDER elements.
+    OrderTooLarge past max_order ids, DEFAULT_MAX_SEARCH nodes or DEFAULT_MAX_GROUP_ORDER elements.
     """
-    return PermGroup(table.order, _automorphism_chain(table, max_order=max_order).elements())
+    check_table_order(table.order, max_order)
+    return PermGroup(table.order, _automorphism_chain(table).elements())
 
 
 @dataclass(frozen=True)

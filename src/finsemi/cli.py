@@ -2,8 +2,8 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success (and
 true verdicts), 1 false verdicts, 2 unusable input, 3 a size cap refused
-the computation.  Output for a fixed input and flags is byte-identical
-between runs.
+the computation, 141 stdout closed by its reader (128 + SIGPIPE).  Output
+for a fixed input and flags is byte-identical between runs.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import sys
 
 from .core import (
@@ -288,7 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:  # quiet, as a SIGPIPE death; devnull takes the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except OrderTooLarge as exc:
         print(f"finsemi: {exc}", file=sys.stderr)
         return 3

@@ -195,7 +195,7 @@ def check_associativity(table: CayleyTable) -> tuple[int, int, int] | None:
     triple first (module docstring); when T is every id this is the full scan.
     """
     # the psi blocks are ordered by least id
-    return _first_failure(table.rows, [b[0] for b in _structure(table)[2]])
+    return _first_failure(table.rows, [b[0] for b in _structure(table)[2].blocks])
 
 
 def refuse_non_associative(table: CayleyTable) -> None:
@@ -245,17 +245,16 @@ def product_set(table: CayleyTable) -> frozenset[int]:
     return structure[0] if structure else frozenset().union(*table.rows)
 
 
-def _structure(table: CayleyTable) -> tuple[frozenset[int], tuple, tuple]:
-    """The product set, the h blocks and the psi blocks, computed once per table.
+def _structure(table: CayleyTable) -> tuple[frozenset[int], Partition, Partition]:
+    """The product set, h and psi, computed once per table.
 
-    The blocks are ascending tuples in order of least id.  The result is
-    kept on the table, which nothing changes after it is built.
+    The result is kept on the table, which nothing changes after it is
+    built, so every caller shares the two partitions.
     """
     if table._structure is None:
-        rows, prods = table.rows, product_set(table)
-        h_blocks = _h_blocks(rows)
-        psi_blocks = sorted(map(tuple, _psi_blocks(h_blocks, prods)))
-        table._structure = (prods, tuple(map(tuple, h_blocks)), tuple(psi_blocks))
+        n, prods, h_blocks = table.order, product_set(table), _h_blocks(table.rows)
+        psi = Partition._unchecked(n, _psi_blocks(h_blocks, prods))
+        table._structure = (prods, Partition._unchecked(n, h_blocks), psi)
     return table._structure
 
 
@@ -279,12 +278,12 @@ def compute_h(table: CayleyTable) -> Partition:
     a and b are related when a*x = b*x and x*a = x*b for every x, which is
     row a == row b together with column a == column b.
     """
-    return Partition._unchecked(table.order, _structure(table)[1])
+    return _structure(table)[1]
 
 
 def compute_psi(table: CayleyTable) -> Partition:
     """Products stay singletons; non-products are grouped by the h relation."""
-    return Partition._unchecked(table.order, _structure(table)[2])
+    return _structure(table)[2]
 
 
 def is_congruence(p: Partition, table: CayleyTable) -> CongruenceWitness | None:

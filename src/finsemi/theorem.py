@@ -29,8 +29,9 @@ Aut = H-bar = H, and then there is one search: restricting to every id
 renumbers nothing and the class sizes are all 1, a colour every id shares,
 so H is Aut itself and the Aut chain is a stabilizer chain of it.  The
 pipeline's own partitions, transversal, retraction, listings and T's table
-are valid by construction and are built without re-validation; the public
-constructors keep every check.
+are valid by construction and skip the public constructors' checks, but
+induced_retraction and extension_scheme each still run
+inflation._rep_of_block, a scan that T holds one id per psi class.
 """
 
 from __future__ import annotations
@@ -146,6 +147,7 @@ def extendable_automorphisms(
     dense id k; only these can extend to the full table.  The sizes are an extra
     colour of the search, which has the caps of enumerate_automorphisms.
     """
+    check_table_order(t_table.order)
     if len(class_sizes) != t_table.order:
         raise MalformedInput("one class size per transversal id required")
     chain = _automorphism_chain(t_table, class_sizes)
@@ -274,18 +276,12 @@ class TheoremReport:
         )
 
     def to_json_dict(self) -> dict:
+        """The fields in declared order, the tuples as lists and the witnesses as a dict."""
         return {
-            "order": self.order,
+            **vars(self),
             "psi_class_sizes": list(self.psi_class_sizes),
-            "aut_order": self.aut_order,
-            "h_order": self.h_order,
-            "g_order": self.g_order,
-            "identity_holds": self.identity_holds,
-            "g_is_normal": self.g_is_normal,
-            "intersection_trivial": self.intersection_trivial,
-            "factorization_unique": self.factorization_unique,
             "transversal_used": list(self.transversal_used),
-            "witnesses": {k: v for k, v in self.witnesses},
+            "witnesses": dict(self.witnesses),
         }
 
     def to_text(self) -> str:
@@ -329,22 +325,21 @@ def verify_theorem(
     every class by construction, as tau_bar moves the classes as phi does.
     Uniqueness then follows from |Aut| = |G| * |H|.  When T is every id H
     is Aut itself (see the module docstring), so the Aut chain serves as
-    H's and T's closure, then a tautology, is not checked; otherwise the
-    module's DEFAULT_MAX_SEARCH, read at call time, bounds the nodes both
-    searches visit together.  The table-order cap refuses
-    before any other work.  All four flags are computed even when an
-    earlier one fails.
+    H's; otherwise T's table is read off the transversal positions, with no
+    closure check, as (P) puts every product in T.  The module's
+    DEFAULT_MAX_SEARCH, read at call time, bounds the nodes both searches
+    visit together.  The table-order cap refuses before any other work.
+    All four flags are computed even when an earlier one fails.
     """
     n = table.order
     budget = DEFAULT_MAX_SEARCH
     check_table_order(n, max_order)  # first, so that the cap refuses before any other work
-    prods, _, psi_blocks = _structure(table)
+    prods, _, psi = _structure(table)
     h_rel = compute_h(table)
-    psi = Partition._unchecked(n, psi_blocks)
     # The adjacent transpositions of each class generate G; each one that passes
     # _is_class_swap is an automorphism and seeds the Aut search.
     rows, seeds = table.rows, []
-    swaps = [(x, y) for b in psi_blocks if len(b) > 1 for x, y in zip(b, b[1:])]
+    swaps = [(x, y) for b in psi.blocks if len(b) > 1 for x, y in zip(b, b[1:])]
     for x, y in swaps:
         if _is_class_swap(rows, prods, x, y):
             images = list(range(n))
@@ -353,7 +348,7 @@ def verify_theorem(
     outside = len(swaps) - len(seeds)
     # every automorphism maps h classes onto h classes, so it keeps each id's class size
     twins = [len(h_rel.blocks[b]) for b in h_rel.block_of]
-    aut = _automorphism_chain(table, twins, seeds=seeds, max_order=max_order, max_nodes=budget)
+    aut = _automorphism_chain(table, twins, seeds=seeds, max_nodes=budget)
     predicted_g = predicted_class_group_order(psi)
     t = choose_transversal(psi, policy, seed)
     reps, pos = t.representatives, _class_positions(psi, t.representatives)
@@ -375,9 +370,7 @@ def verify_theorem(
         sub = CayleyTable._unchecked(tuple(tuple([pos[rows[a][b]] for b in reps]) for a in reps))
         class_sizes = tuple(map(len, scheme.listings))
         try:
-            h = _automorphism_chain(
-                sub, class_sizes, max_order=max_order, max_nodes=budget - aut.nodes
-            )
+            h = _automorphism_chain(sub, class_sizes, max_nodes=budget - aut.nodes)
         except OrderTooLarge as exc:  # the budget is shared, so report it whole
             raise OrderTooLarge(exc.what, aut.nodes + exc.requested, budget) from None
     h_bar = _h_bar(h.generators, scheme)

@@ -316,7 +316,7 @@ class TestAutomorphismChain:
 
     def test_left_zero_semigroups_have_the_symmetric_group(self):
         for n in range(1, 31):
-            chain = _automorphism_chain(left_zero(n), max_order=30)
+            chain = _automorphism_chain(left_zero(n))
             assert chain.order == math.factorial(n)
             assert len(chain.generators) == n - 1
             if n <= 8:
@@ -333,8 +333,13 @@ class TestAutomorphismChain:
         assert (info.value.what, info.value.limit) == ("search nodes", nodes - 1)
 
     def test_order_bound(self):
+        # the chain has only its node budget; a table is refused where it enters
         with pytest.raises(OrderTooLarge):
-            _automorphism_chain(left_zero(13))
+            enumerate_automorphisms(left_zero(13))
+        with pytest.raises(OrderTooLarge) as info:
+            extendable_automorphisms(left_zero(13), (1,) * 13)
+        assert (info.value.what, info.value.requested, info.value.limit) == ("table order", 13, 12)
+        assert "max_order" not in inspect.signature(_automorphism_chain).parameters
 
 
 class TestPermGroup:

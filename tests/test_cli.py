@@ -475,6 +475,22 @@ class TestParser:
             main(["frobnicate"])
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run quietly with 141, as cat's SIGPIPE does."""
+
+    def test_exits_141_with_an_empty_stderr(self):
+        argv = ["enumerate", "--order", "4", "--format", "structured"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "finsemi", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert json.loads(proc.stdout.readline()) == {"rows": [[0] * 4] * 4}
+            proc.stdout.close()  # 3491 lines, more than a pipe holds, are still to come
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+
+
 class TestDeterminism:
     def run_cli(self, argv, stdin_text):
         return subprocess.run(

@@ -291,6 +291,22 @@ class TestComputeH:
             assert compute_h(relabeled) == expected
 
 
+class TestStructureOnce:
+    def test_h_and_psi_are_built_once_and_shared(self, monkeypatch):
+        calls = []
+        h_blocks = core._h_blocks
+
+        def counted(rows):
+            calls.append(rows)
+            return h_blocks(rows)
+
+        monkeypatch.setattr(core, "_h_blocks", counted)
+        table = CayleyTable(S6.rows)  # a fresh table, nothing kept on it yet
+        assert compute_h(table) is compute_h(table)
+        assert compute_psi(table) is compute_psi(table)
+        assert calls == [table.rows]
+
+
 class TestComputePsi:
     def test_null(self):
         assert compute_psi(N3).blocks == ((0,), (1, 2))

@@ -5,7 +5,7 @@ import json
 import math
 import random
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from finsemi import (
     PermGroup,
     Permutation,
     RetractionMap,
+    TheoremReport,
     Transversal,
     build_inflation,
     canonicalize,
@@ -745,6 +746,19 @@ class TestVerifyTheoremFlagsFail:
         assert witnesses["g_normal"] == (
             "0 of 2 generators split a class, 1 of 2 class transpositions outside aut"
         )
+
+    def test_json_keys_are_the_fields_in_declared_order(self, monkeypatch):
+        names = [f.name for f in fields(TheoremReport)]
+        passing = verify_theorem(S6)
+        monkeypatch.setattr(
+            theorem, "_automorphism_chain", _on_s6(lambda c: _regrow(c, []), h=True)
+        )
+        failing = verify_theorem(S6)
+        assert passing.all_flags and not failing.all_flags and failing.witnesses
+        for report in (passing, failing):
+            doc = report.to_json_dict()
+            assert list(doc) == names
+            assert doc["witnesses"] == dict(report.witnesses)
 
     def test_h_bar_meets_g(self, monkeypatch):
         # the class swap added to the lifted H generators
