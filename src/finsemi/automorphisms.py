@@ -10,13 +10,14 @@ by two invariants every automorphism of a magma keeps, membership in the
 product set and x*x == x, plus one extra colour when the caller gives it
 (verify_theorem's h-class sizes and psi-class sizes), maps ids only onto
 ids of their own colour, and finds a stabilizer chain (base, strong
-generators, and at each level one coset representative per orbit point).
+generators, and at each level the orbit of its base point).
 Automorphisms the caller has checked, such as verify_theorem's class
 transpositions, enter as seeds, strong generators known before their
 level searches.  The chain gives |Aut| as the product of the orbit
-lengths; enumerate_automorphisms lists the group by multiplying the
-representatives.  Every search stops after max_nodes nodes, and
-_Chain.elements, the only listing, refuses more than
+lengths, and it holds one id per orbit point and n per generator;
+enumerate_automorphisms lists the group by multiplying coset
+representatives regrown one level at a time.  Every search stops after
+max_nodes nodes, and _Chain.elements, the only listing, refuses more than
 DEFAULT_MAX_GROUP_ORDER elements before it builds any.
 """
 
@@ -229,54 +230,42 @@ def _transversal(
 
 
 class _Chain(NamedTuple):
-    """A stabilizer chain of Aut: base, strong generators, coset transversals.
+    """A stabilizer chain of Aut: base, strong generators, basic orbits.
 
     A generator of level k fixes base[0..k-1] and moves base[k].  The
     generators of level >= k generate the pointwise stabilizer of
-    base[0..k-1], and transversals[k] maps each point z of the orbit of
-    base[k] under them to a representative that fixes base[0..k-1] and
-    sends base[k] to z (see _transversal).  The base holds every id.
+    base[0..k-1], and orbits[k] is the orbit of base[k] under them, in the
+    order _transversal reaches it, so orbits[k][0] == base[k].  The base
+    holds every id.  No coset representative is kept: elements regrows
+    them one level at a time.
     """
 
     base: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    transversals: tuple[dict[int, tuple[int, ...]], ...]
+    orbits: tuple[tuple[int, ...], ...]
     nodes: int
 
     @property
     def order(self) -> int:
-        return math.prod(map(len, self.transversals))
-
-    def sift(self, images: tuple[int, ...]) -> bool:
-        """True when images is a product of the coset representatives.
-
-        At each level images is divided by the representative of the image
-        of the base point, which then fixes it.
-        """
-        g = images
-        for b, reps in zip(self.base, self.transversals):
-            z = g[b]
-            if z != b:
-                if z not in reps:
-                    return False
-                # sorting the ids by their image inverts
-                inv = sorted(range(len(g)), key=reps[z].__getitem__)
-                g = [inv[v] for v in g]
-        # every id is a base point, so g is now the identity
-        return True
+        return math.prod(map(len, self.orbits))
 
     def elements(self) -> list[Permutation]:
-        """Every element of the group, expanded from the transversals.
+        """Every element of the group, expanded from regrown coset representatives.
 
         The stabilizer of base[0..k-1] is the stabilizer of base[0..k]
-        followed by each representative of level k, so the group is built
-        from the identity, deepest level first.
+        followed by each coset representative of level k, so the group is
+        built from the identity, deepest level first, with the
+        representatives of one level alive at a time.
         """
         if self.order > DEFAULT_MAX_GROUP_ORDER:
             raise OrderTooLarge("automorphism group order", self.order, DEFAULT_MAX_GROUP_ORDER)
-        group = [tuple(range(len(self.base)))]
-        for reps in reversed(self.transversals):
-            group = [tuple([t[v] for v in h]) for h in group for t in reps.values()]
+        base, ident = self.base, tuple(range(len(self.base)))
+        levels = [next(k for k, b in enumerate(base) if g[b] != b) for g in self.generators]
+        group = [ident]
+        for k in range(len(base) - 1, -1, -1):
+            fixing = [g for g, level in zip(self.generators, levels) if level >= k]
+            reps = _transversal(base[k], fixing, ident).values()
+            group = [tuple([t[v] for v in h]) for h in group for t in reps]
         return [Permutation._unchecked(images) for images in group]
 
 
@@ -347,7 +336,7 @@ def _automorphism_chain(
 
     ident = tuple(range(n))
     generators: list[tuple[int, ...]] = []
-    transversals: list[dict[int, tuple[int, ...]]] = []
+    orbits: list[tuple[int, ...]] = []
     for k in range(n - 1, -1, -1):
         b = order[k]
         img[b] = -1
@@ -369,8 +358,8 @@ def _automorphism_chain(
                     used[img[x]] = False
                     img[x] = -1
                 reps = _transversal(b, generators, ident)
-        transversals.append(reps)
-    return _Chain(tuple(order), tuple(generators), tuple(reversed(transversals)), nodes)
+        orbits.append(tuple(reps))  # the representatives die with the level
+    return _Chain(tuple(order), tuple(generators), tuple(reversed(orbits)), nodes)
 
 
 def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:

@@ -9,6 +9,7 @@ Aut = G x| H-bar on their strong generators alone: G is a predicate
 generated by the class transpositions, G <= Aut is read off the table (each
 class transposition swaps equal rows and equal columns of two
 non-products), normality is "every generator permutes the classes",
+each generator's class action tau is in H when it keeps T's product,
 pi = phi * inverse(tau_bar) fixes every class by construction, and the
 uniqueness of pi * tau_bar follows by counting |Aut| = |G| * |H|.  The
 class transpositions seed the Aut search, which then searches only for
@@ -53,6 +54,7 @@ from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused
     compose,
     enumerate_automorphisms,
     inverse,
+    is_automorphism,
     subgroup_checks,
 )
 from .core import CayleyTable, Partition, _is_arrangement, _structure, compute_h
@@ -320,21 +322,23 @@ def verify_theorem(
     the classes.  H-bar lies in Aut when each lifted H generator is an
     automorphism, and meets G trivially when each is the lift of its own
     class action.  Each strong generator phi splits as pi * tau_bar, with
-    tau its class action, which sifts through the H chain and so is in
-    Aut(T) as H-bar <= Aut (R, P; see the module docstring), and pi fixing
-    every class by construction, as tau_bar moves the classes as phi does.
-    Uniqueness then follows from |Aut| = |G| * |H|.  When T is every id H
-    is Aut itself (see the module docstring), so the Aut chain serves as
-    H's; otherwise T's table is read off the transversal positions, with no
-    closure check, as (P) puts every product in T.  The module's
-    DEFAULT_MAX_SEARCH, read at call time, bounds the nodes both searches
-    visit together.  The table-order cap refuses before any other work.
-    All four flags are computed even when an earlier one fails.
+    tau its class action, which is in H when it is the identity or keeps
+    the product of T's table (it keeps the class sizes, as phi does), and
+    pi fixing every class by construction, as tau_bar moves the classes as
+    phi does.  Uniqueness then follows from |Aut| = |G| * |H|.  When T is
+    every id H is Aut itself (see the module docstring), so the Aut chain
+    serves as H's and T's table is the table; otherwise T's table is read
+    off the transversal positions, with no closure check, as (P) puts
+    every product in T.  The module's DEFAULT_MAX_SEARCH, read at call
+    time, bounds the nodes both searches visit together.  The table-order
+    cap refuses before any other work, and an unknown policy before any
+    search.  All four flags are computed even when an earlier one fails.
     """
     n = table.order
     budget = DEFAULT_MAX_SEARCH
     check_table_order(n, max_order)  # first, so that the cap refuses before any other work
     prods, _, psi = _structure(table)
+    t = choose_transversal(psi, policy, seed)  # refuses a bad policy before any search
     h_rel = compute_h(table)
     # The adjacent transpositions of each class generate G; each one that passes
     # _is_class_swap is an automorphism and seeds the Aut search.
@@ -350,7 +354,6 @@ def verify_theorem(
     twins = [len(h_rel.blocks[b]) for b in h_rel.block_of]
     aut = _automorphism_chain(table, twins, seeds=seeds, max_nodes=budget)
     predicted_g = predicted_class_group_order(psi)
-    t = choose_transversal(psi, policy, seed)
     reps, pos = t.representatives, _class_positions(psi, t.representatives)
 
     witnesses: dict[str, str] = {}
@@ -364,7 +367,7 @@ def verify_theorem(
 
     scheme = extension_scheme(psi, t)
     if len(reps) == n:
-        h = aut  # T = S: H is Aut itself
+        h, sub = aut, table  # T = S: H is Aut itself, and T's table is the table
     else:
         # T holds every product by (P), a singleton class, so pos renumbers T in order
         sub = CayleyTable._unchecked(tuple(tuple([pos[rows[a][b]] for b in reps]) for a in reps))
@@ -418,12 +421,14 @@ def verify_theorem(
         if automorphism_witness(table, Permutation._unchecked(tb)) is not None:
             factorization_unique = False
             witnesses.setdefault("factorization", f"h-bar generator {tb} not in aut")
-    # A sifting tau is a product of H generators g, and g-bar is g on T (reps[k] -> reps[g[k]]);
-    # the loop above put each g-bar in Aut(S) or set the flag and witness, so tau is in Aut(T).
+    # tau is in H, the size-preserving automorphisms of T, when it keeps T's product:
+    # tau permutes the classes as phi does, so it carries each class onto one of the
+    # same size.  Every class transposition acts as the identity, which needs no check.
     # pi = phi * inverse(tau_bar) fixes every class by construction: phi maps the class
     # at position k onto the class at tau[k], and so does tau_bar.
+    no_move = tuple(range(len(reps)))
     for phi, tau in zip(aut.generators, taus):
-        if tau is not None and h.sift(tau):
+        if tau == no_move or (tau is not None and is_automorphism(sub, Permutation(tau))):
             continue
         problem = "splits a class" if tau is None else f"tau {tau} is not in h"
         factorization_unique = False

@@ -98,6 +98,33 @@ def naive_automorphism_images(rows) -> list[tuple[int, ...]]:
     return sorted(kept)
 
 
+def naive_sift(chain, images) -> bool:
+    """Whether images lies in the group of a stabilizer chain, read off its base and generators.
+
+    Level by level, the coset representatives of base[k] are regrown breadth
+    first from the identity under the generators that fix base[:k], and
+    images is divided by the one that sends base[k] where images does.
+    """
+    n, base = len(images), chain.base
+    g = list(images)
+    for k, b in enumerate(base):
+        fixing = [s for s in chain.generators if all(s[a] == a for a in base[:k])]
+        reps = {b: tuple(range(n))}
+        reached = [b]
+        for y in reached:
+            for s in fixing:
+                if s[y] not in reps:
+                    reps[s[y]] = tuple(s[v] for v in reps[y])
+                    reached.append(s[y])
+        if g[b] not in reps:
+            return False
+        inverse = [0] * n
+        for x, y in enumerate(reps[g[b]]):
+            inverse[y] = x
+        g = [inverse[v] for v in g]
+    return g == list(range(n))
+
+
 def naive_semigroup_rows(n: int) -> set[tuple[tuple[int, ...], ...]]:
     """All associative tables on 0..n-1 by filtering every operation."""
     out = set()

@@ -33,6 +33,7 @@ from support import (
     N4,
     S6,
     naive_automorphism_images,
+    naive_sift,
 )
 
 
@@ -262,7 +263,7 @@ class TestAutomorphismChain:
                 assert chain.order == len(naive)
                 for g in chain.generators:
                     assert is_automorphism(table, Permutation(g))
-                sifting = [p for p in itertools.permutations(range(n)) if chain.sift(p)]
+                sifting = [p for p in itertools.permutations(range(n)) if naive_sift(chain, p)]
                 assert sifting == naive
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -282,23 +283,24 @@ class TestAutomorphismChain:
         for table in inflations_non_products_first:
             assert _automorphism_chain(table).order == len(naive_automorphism_images(table.rows))
 
-    def test_levels_and_transversals_agree(self, corpus_by_order):
+    def test_levels_and_orbits_agree(self, corpus_by_order):
         for table in corpus_by_order[4][::7]:
             chain = _automorphism_chain(table)
             base = chain.base
             assert sorted(base) == list(range(table.order))
-            for k, (b, reps) in enumerate(zip(base, chain.transversals)):
-                for z, t in reps.items():
-                    assert t[b] == z and all(t[a] == a for a in base[:k])
+            for k, (b, orbit) in enumerate(zip(base, chain.orbits)):
+                assert orbit[0] == b and len(set(orbit)) == len(orbit)
+                fixing = [g for g in chain.generators if all(g[a] == a for a in base[:k])]
+                assert all(g[z] in orbit for g in fixing for z in orbit)
             for g in chain.generators:
                 level = next(k for k, b in enumerate(base) if g[b] != b)
-                assert g[base[level]] in chain.transversals[level]
+                assert g[base[level]] in chain.orbits[level]
 
     def test_sift_rejects_what_is_not_an_automorphism(self):
         chain = _automorphism_chain(S6)
-        assert chain.sift((1, 0, 3, 2, 5, 4))
-        assert not chain.sift((0, 1, 3, 2, 4, 5))
-        assert not chain.sift((0, 1, 2, 4, 3, 5))
+        assert naive_sift(chain, (1, 0, 3, 2, 5, 4))
+        assert not naive_sift(chain, (0, 1, 3, 2, 4, 5))
+        assert not naive_sift(chain, (0, 1, 2, 4, 3, 5))
 
     def test_extra_colour_keeps_the_class_sizes(self, corpus_by_order):
         rng = random.Random(43)

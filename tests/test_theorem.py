@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
@@ -62,6 +63,7 @@ from support import (
     S6,
     Z3,
     naive_automorphism_images,
+    naive_sift,
     non_products_first,
     random_magma_inflation,
 )
@@ -617,6 +619,14 @@ class TestVerifyTheorem:
         assert verify_theorem(S6, "greatest").transversal_used == (0, 1, 4, 5)
         assert verify_theorem(S6, "least").transversal_used == (0, 1, 2, 3)
 
+    def test_unknown_policy_is_refused_before_the_aut_search(self, monkeypatch):
+        def refusing(*args, **kwargs):
+            raise AssertionError("the Aut search ran")
+
+        monkeypatch.setattr(theorem, "_automorphism_chain", refusing)
+        with pytest.raises(MalformedInput, match="unknown policy 'median'"):
+            verify_theorem(S6, "median")
+
     def test_h_is_computed_once_and_psi_derived_from_it(self, monkeypatch):
         calls = []
         compute_h = theorem.compute_h
@@ -638,16 +648,18 @@ S6_CLASS_SPLIT = Permutation((0, 1, 2, 4, 3, 5))
 
 
 def _regrow(chain, generators):
-    """The chain on the same base, its transversals regrown from generators."""
+    """The chain on the same base, its orbits regrown from generators."""
     base, n = chain.base, len(chain.base)
     level = {g: next(k for k, b in enumerate(base) if g[b] != b) for g in generators}
     # deepest level first, as the search finds them, so those of level >= k are a prefix
     generators = sorted(generators, key=level.__getitem__, reverse=True)
     return chain._replace(
         generators=tuple(generators),
-        transversals=tuple(
-            automorphisms._transversal(
-                b, generators[: sum(level[g] >= k for g in generators)], tuple(range(n))
+        orbits=tuple(
+            tuple(
+                automorphisms._transversal(
+                    b, generators[: sum(level[g] >= k for g in generators)], tuple(range(n))
+                )
             )
             for k, b in enumerate(base)
         ),
@@ -678,24 +690,13 @@ def _without_class_swap(chain):
 
 
 def _first_orbit_cut_to_its_base_point(chain):
-    b = chain.base[0]
-    return chain._replace(
-        transversals=({b: chain.transversals[0][b]},) + chain.transversals[1:],
-    )
+    return chain._replace(orbits=((chain.base[0],),) + chain.orbits[1:])
 
 
 def _replaced(chain, old, new):
-    """The chain with new in place of old as a generator and as a coset representative.
-
-    The transversals keep their points, so a sift divides by new where it divided by old.
-    """
+    """The chain with new in place of old as a generator; the orbits keep their points."""
     assert old in chain.generators
-    return chain._replace(
-        generators=tuple(new if g == old else g for g in chain.generators),
-        transversals=tuple(
-            {z: new if t == old else t for z, t in reps.items()} for reps in chain.transversals
-        ),
-    )
+    return chain._replace(generators=tuple(new if g == old else g for g in chain.generators))
 
 
 def _split_in_place_of_class_swap(chain):
@@ -726,7 +727,7 @@ class TestVerifyTheoremFlagsFail:
     def test_s6_chain_holds_the_generators_the_faults_edit(self):
         chain = theorem._automorphism_chain(S6)
         assert S6_CLASS_SWAP.images in chain.generators
-        assert chain.base[0] == 0 and tuple(chain.transversals[0]) == (0, 1)
+        assert chain.base[0] == 0 and chain.orbits[0] == (0, 1)
         assert chain.order == 8
 
     def test_h_reduced_to_identity(self, monkeypatch):
@@ -820,9 +821,9 @@ class TestVerifyTheoremFlagsFail:
             "1 of 3 generators split a class, 1 of 2 class transpositions outside aut"
         )
 
-    def test_tau_outside_aut_t_that_sifts_through_a_faulty_h(self, monkeypatch):
+    def test_tau_outside_aut_t_held_by_a_faulty_h(self, monkeypatch):
         # H holds the swap of T's two non-product ids, which is no automorphism of T,
-        # and an Aut generator has it as its class action; the H-bar check is the one
+        # and an Aut generator has it as its class action; the H-bar check is the first
         # that fails, so the flag and the witness are set before any tau is read
         swap = (0, 1, 3, 2)
         assert not is_automorphism(restrict_to_subsemigroup(S6, (0, 1, 2, 3))[0], Permutation(swap))
@@ -840,6 +841,20 @@ class TestVerifyTheoremFlagsFail:
         assert witnesses["factorization"] == "h-bar generator (0, 1, 3, 2, 5, 4) not in aut"
         assert witnesses["g_normal"] == (
             "0 of 3 generators split a class, 1 of 2 class transpositions outside aut"
+        )
+
+    def test_tau_outside_aut_t_beside_a_sound_h(self, monkeypatch):
+        # the generator that swaps 0 and 1 with the two classes becomes one that swaps
+        # the classes alone: it permutes them, but its class action (0 1 3 2) moves a
+        # non-product onto a product's row, so only the factorization check fails
+        monkeypatch.setattr(
+            theorem,
+            "_automorphism_chain",
+            _on_s6(lambda c: _replaced(c, (1, 0, 3, 2, 5, 4), (0, 1, 3, 2, 5, 4))),
+        )
+        witnesses = self.check((True, True, True, False), ("factorization",))
+        assert witnesses["factorization"] == (
+            "decompose failed on (0, 1, 3, 2, 5, 4): tau (0, 1, 3, 2) is not in h"
         )
 
 
@@ -882,8 +897,8 @@ def _assert_twin_chain_is_the_plain_chain(table):
     plain = theorem._automorphism_chain(table)
     twin = theorem._automorphism_chain(table, _twin_sizes(table))
     assert twin.order == plain.order, table
-    assert all(plain.sift(g) for g in twin.generators), table
-    assert all(twin.sift(g) for g in plain.generators), table
+    assert all(naive_sift(plain, g) for g in twin.generators), table
+    assert all(naive_sift(twin, g) for g in plain.generators), table
 
 
 class TestTwinColouredAutSearch:
@@ -925,8 +940,8 @@ def _assert_seeded_chain_is_the_unseeded_chain(table):
     unseeded = theorem._automorphism_chain(table, twins)
     assert seeded.order == unseeded.order, table
     assert seeded.nodes <= unseeded.nodes, table
-    assert all(unseeded.sift(g) for g in seeded.generators), table
-    assert all(seeded.sift(g) for g in unseeded.generators), table
+    assert all(naive_sift(unseeded, g) for g in seeded.generators), table
+    assert all(naive_sift(seeded, g) for g in unseeded.generators), table
 
 
 SEMILATTICE = CayleyTable([[0, 0, 0], [0, 1, 0], [0, 0, 2]])  # 1 * 2 = 0
@@ -965,6 +980,19 @@ class TestSeededAutSearch:
         assert report.all_flags and report.witnesses == ()
         assert report.aut_order == math.factorial(48) * math.factorial(49)
         assert chains[0].order == report.aut_order and chains[0].nodes == 0
+
+    def test_semilattice_inflated_to_order_200_stays_under_4_mb(self):
+        # fails a chain that keeps n ids per orbit point at every level: that peaks
+        # near 16 MB here, on the orbits of the 99- and 100-id classes
+        table, _ = build_inflation(FiberSizeSpec(SEMILATTICE, (1, 99, 100)), max_order=200)
+        tracemalloc.start()
+        try:
+            report = verify_theorem(table, max_order=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_flags and report.aut_order == math.factorial(98) * math.factorial(99)
+        assert peak < 4 * 2**20, peak
 
 
 UP_TO_ISO = {n: list(enumerate_semigroups(EnumerationTask(n, "up_to_iso"))) for n in (1, 2, 3, 4)}
