@@ -10,12 +10,12 @@ by two invariants every automorphism of a magma keeps, membership in the
 product set and x*x == x, plus one extra colour when the caller gives it
 (verify_theorem's h-class sizes and psi-class sizes), maps ids only onto
 ids of their own colour, and finds a stabilizer chain (base, strong
-generators, and at each level the orbit of its base point).
+generators, and at each level the length of its base point's orbit),
+reading the orbits off one union-find forest that each generator joins.
 Automorphisms the caller has checked, such as verify_theorem's class
 transpositions, enter as seeds, strong generators known before their
 level searches.  The chain gives |Aut| as the product of the orbit
-lengths, and it holds one id per orbit point and n per generator;
-enumerate_automorphisms lists the group by multiplying coset
+lengths; enumerate_automorphisms lists the group by multiplying coset
 representatives regrown one level at a time.  Every search stops after
 max_nodes nodes, and _Chain.elements, the only listing, refuses more than
 DEFAULT_MAX_GROUP_ORDER elements before it builds any.
@@ -165,27 +165,26 @@ def is_automorphism(table: CayleyTable, p: Permutation) -> bool:
     return automorphism_witness(table, p) is None
 
 
-def _plan(table: CayleyTable, extra: Sequence | None) -> tuple[list[int], list, list[int]]:
-    """Search order, candidate cell per position, and where each cell ends.
+def _plan(table: CayleyTable, extra: Sequence | None) -> tuple[list[int], list]:
+    """Search order and the candidate cell of each position.
 
     This is the set-up of _automorphism_chain.  Each id is coloured by two
     invariants every automorphism keeps, (is a product, is idempotent),
     and by its entry of extra when given.  Ids are grouped into cells of
     equal colour, smallest cell first with ties broken by least id, and in
     id order within a cell; each position tries only the ids of its own
-    cell, and ends[k] is the position after the last one of k's cell.
+    cell.
     """
     rows, products = table.rows, product_set(table)
     by_colour: dict = {}
     for x, e in enumerate(extra if extra is not None else [None] * table.order):
         by_colour.setdefault((x in products, rows[x][x] == x, e), []).append(x)
     # sorted() is stable, so equal-sized cells keep the order of their least ids
-    order, candidates, ends = [], [], []
+    order, candidates = [], []
     for cell in sorted(by_colour.values(), key=len):
         order += cell
         candidates += [cell] * len(cell)
-        ends += [len(order)] * len(cell)
-    return order, candidates, ends
+    return order, candidates
 
 
 def _buckets(rows: Sequence[Sequence[int]], order: list[int]) -> list[list[tuple[int, int, int]]]:
@@ -208,46 +207,25 @@ def _buckets(rows: Sequence[Sequence[int]], order: list[int]) -> list[list[tuple
     return bucket
 
 
-def _transversal(
-    point: int, generators: Sequence[tuple[int, ...]], ident: tuple[int, ...]
-) -> dict[int, tuple[int, ...]]:
-    """Coset representatives of the orbit of point under the generators.
-
-    Maps each orbit point z to a product of the generators that sends point
-    to z, grown breadth first from ident, the identity: the representative
-    of z is that of the point z was first reached from, followed by the
-    generator that reached it.
-    """
-    reps = {point: ident}
-    orbit = [point]
-    for y in orbit:
-        for g in generators:
-            z = g[y]
-            if z not in reps:
-                reps[z] = tuple([g[v] for v in reps[y]])
-                orbit.append(z)
-    return reps
-
-
 class _Chain(NamedTuple):
-    """A stabilizer chain of Aut: base, strong generators, basic orbits.
+    """A stabilizer chain of Aut: base, strong generators, basic orbit lengths.
 
     A generator of level k fixes base[0..k-1] and moves base[k].  The
     generators of level >= k generate the pointwise stabilizer of
-    base[0..k-1], and orbits[k] is the orbit of base[k] under them, in the
-    order _transversal reaches it, so orbits[k][0] == base[k].  The base
-    holds every id.  No coset representative is kept: elements regrows
-    them one level at a time.
+    base[0..k-1], and lengths[k] is the length of the orbit of base[k]
+    under them.  The base holds every id.  No orbit point or coset
+    representative is kept: elements regrows the representatives one
+    level at a time.
     """
 
     base: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    orbits: tuple[tuple[int, ...], ...]
+    lengths: tuple[int, ...]
     nodes: int
 
     @property
     def order(self) -> int:
-        return math.prod(map(len, self.orbits))
+        return math.prod(self.lengths)
 
     def elements(self) -> list[Permutation]:
         """Every element of the group, expanded from regrown coset representatives.
@@ -255,7 +233,8 @@ class _Chain(NamedTuple):
         The stabilizer of base[0..k-1] is the stabilizer of base[0..k]
         followed by each coset representative of level k, so the group is
         built from the identity, deepest level first, with the
-        representatives of one level alive at a time.
+        representatives of one level alive at a time, grown breadth first
+        from the identity under the generators of level >= k.
         """
         if self.order > DEFAULT_MAX_GROUP_ORDER:
             raise OrderTooLarge("automorphism group order", self.order, DEFAULT_MAX_GROUP_ORDER)
@@ -264,8 +243,13 @@ class _Chain(NamedTuple):
         group = [ident]
         for k in range(len(base) - 1, -1, -1):
             fixing = [g for g, level in zip(self.generators, levels) if level >= k]
-            reps = _transversal(base[k], fixing, ident).values()
-            group = [tuple([t[v] for v in h]) for h in group for t in reps]
+            reps, orbit = {base[k]: ident}, [base[k]]
+            for y in orbit:
+                for g in fixing:
+                    if g[y] not in reps:
+                        reps[g[y]] = tuple([g[v] for v in reps[y]])
+                        orbit.append(g[y])
+            group = [tuple([t[v] for v in h]) for h in group for t in reps.values()]
         return [Permutation._unchecked(images) for images in group]
 
 
@@ -299,10 +283,13 @@ def _automorphism_chain(
     the level of the first base point each moves before that level
     searches, and prune like found ones.  The n^2 triple buckets are built
     when a level first searches, so a chain the seeds complete needs none.
+    The orbits are the trees of one union-find forest over the ids, which
+    each generator joins as it becomes one: levels run deepest first and
+    seeds join at their own level, so base[k]'s tree is its basic orbit.
     """
     n = table.order
     rows = table.rows
-    order, candidates, ends = _plan(table, extra)
+    order, candidates = _plan(table, extra)
     seeded: dict[int, list[tuple[int, ...]]] = {}
     for g in seeds:
         seeded.setdefault(next(k for k, b in enumerate(order) if g[b] != b), []).append(g)
@@ -312,54 +299,78 @@ def _automorphism_chain(
     used = [True] * n
     nodes = 0
 
-    def first_leaf(k: int, cands) -> bool:
-        """Assign position k from cands and the rest from their cells; True at a leaf."""
+    def first_leaf(k: int, v: int) -> bool:
+        """Map base[k] to v and each later position into its cell; True at a leaf.
+
+        pending holds one candidate iterator per position entered, so the
+        depth of the search is not bounded by Python's recursion limit.
+        """
         nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise OrderTooLarge("search nodes", nodes, max_nodes)
-        x = order[k]
-        for v in cands:
-            if used[v]:
-                continue
-            img[x] = v
-            for a, b, c in bucket[k]:
-                if rows[img[a]][img[b]] != img[c]:
+        pending = [iter((v,))]
+        nodes += 1  # a node per position entered
+        while pending:
+            if nodes > max_nodes:
+                raise OrderTooLarge("search nodes", nodes, max_nodes)
+            j = k + len(pending) - 1
+            x = order[j]
+            for v in pending[-1]:
+                if used[v]:
+                    continue
+                img[x] = v
+                for a, b, c in bucket[j]:
+                    if rows[img[a]][img[b]] != img[c]:
+                        break
+                else:
+                    used[v] = True
+                    if j + 1 == n:
+                        return True
+                    nodes += 1
+                    pending.append(iter(candidates[j + 1]))
                     break
-            else:
-                used[v] = True
-                if k + 1 == n or first_leaf(k + 1, candidates[k + 1]):
-                    return True
-                used[v] = False
-        img[x] = -1
+            else:  # position j is spent: free the choice made at j - 1
+                img[x] = -1
+                pending.pop()
+                if pending:
+                    used[img[order[j - 1]]] = False
         return False
 
-    ident = tuple(range(n))
-    generators: list[tuple[int, ...]] = []
-    orbits: list[tuple[int, ...]] = []
+    # the union-find forest: size[r] is the size of the tree rooted at r
+    parent, size = list(range(n)), [1] * n
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    def add(g: tuple[int, ...]):
+        generators.append(g)
+        for x, y in enumerate(g):
+            if x != y:  # the seeds are transpositions, so most ids are fixed
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[ry] = rx
+                    size[rx] += size[ry]
+
+    generators, lengths = [], []
     for k in range(n - 1, -1, -1):
         b = order[k]
         img[b] = -1
         used[b] = False
-        if k in seeded:
-            generators += seeded[k]
-            reps = _transversal(b, generators, ident)
-        else:  # every generator so far fixes base[k]
-            reps = {b: ident}
+        for g in seeded.get(k, ()):
+            add(g)
         # base[0..k-1] are fixed, so the ids after b in its cell are all free
-        for v in order[k + 1 : ends[k]]:
-            if v in reps:
+        for v in candidates[k][candidates[k].index(b) + 1 :]:
+            if find(v) == find(b):
                 continue
             if not bucket:
                 bucket = _buckets(rows, order)
-            if first_leaf(k, (v,)):
-                generators.append(tuple(img))
+            if first_leaf(k, v):
+                add(tuple(img))
                 for x in order[k:]:
                     used[img[x]] = False
                     img[x] = -1
-                reps = _transversal(b, generators, ident)
-        orbits.append(tuple(reps))  # the representatives die with the level
-    return _Chain(tuple(order), tuple(generators), tuple(reversed(orbits)), nodes)
+        lengths.append(size[find(b)])
+    return _Chain(tuple(order), tuple(generators), tuple(reversed(lengths)), nodes)
 
 
 def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:

@@ -125,6 +125,18 @@ def naive_sift(chain, images) -> bool:
     return g == list(range(n))
 
 
+def naive_orbit(chain, k) -> list[int]:
+    """The orbit of base[k] under the chain's generators that fix base[:k], breadth first."""
+    base = chain.base
+    fixing = [s for s in chain.generators if all(s[a] == a for a in base[:k])]
+    orbit = [base[k]]
+    for y in orbit:
+        for s in fixing:
+            if s[y] not in orbit:
+                orbit.append(s[y])
+    return orbit
+
+
 def naive_semigroup_rows(n: int) -> set[tuple[tuple[int, ...], ...]]:
     """All associative tables on 0..n-1 by filtering every operation."""
     out = set()

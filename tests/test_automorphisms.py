@@ -33,6 +33,7 @@ from support import (
     N4,
     S6,
     naive_automorphism_images,
+    naive_orbit,
     naive_sift,
 )
 
@@ -288,13 +289,13 @@ class TestAutomorphismChain:
             chain = _automorphism_chain(table)
             base = chain.base
             assert sorted(base) == list(range(table.order))
-            for k, (b, orbit) in enumerate(zip(base, chain.orbits)):
-                assert orbit[0] == b and len(set(orbit)) == len(orbit)
-                fixing = [g for g in chain.generators if all(g[a] == a for a in base[:k])]
-                assert all(g[z] in orbit for g in fixing for z in orbit)
-            for g in chain.generators:
-                level = next(k for k, b in enumerate(base) if g[b] != b)
-                assert g[base[level]] in chain.orbits[level]
+            assert chain.lengths == tuple(len(naive_orbit(chain, k)) for k in range(len(base)))
+            # each generator moves the base point of its level, and the levels
+            # run deepest first, as the search finds them
+            levels = [next(k for k, b in enumerate(base) if g[b] != b) for g in chain.generators]
+            assert levels == sorted(levels, reverse=True)
+            for g, level in zip(chain.generators, levels):
+                assert g[base[level]] in naive_orbit(chain, level)[1:]
 
     def test_sift_rejects_what_is_not_an_automorphism(self):
         chain = _automorphism_chain(S6)
@@ -333,6 +334,20 @@ class TestAutomorphismChain:
         with pytest.raises(OrderTooLarge) as info:
             _automorphism_chain(S6, max_nodes=nodes - 1)
         assert (info.value.what, info.value.limit) == ("search nodes", nodes - 1)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_cyclic_groups_of_prime_order(self, p):
+        # Aut is the units mod p.  For p = 5, 11 and 13 the one generator,
+        # x -> 2x, is a single cycle whose join re-roots base[1]'s tree; for
+        # p = 7 two generators share the level.
+        chain = _automorphism_chain(CayleyTable([[(x + y) % p for y in range(p)] for x in range(p)]))
+        assert chain.order == p - 1
+        assert chain.lengths == tuple(len(naive_orbit(chain, k)) for k in range(p))
+
+    def test_node_counts_on_the_fixtures(self):
+        # a node per position entered, as the node budget counts them
+        nodes = {name: _automorphism_chain(table).nodes for name, table in FIXTURES.items()}
+        assert nodes == {"N3": 2, "N4": 5, "L2": 2, "S6": 17, "IL2": 5}
 
     def test_order_bound(self):
         # the chain has only its node budget; a table is refused where it enters

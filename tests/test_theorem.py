@@ -52,7 +52,7 @@ from finsemi import (
     restrict_to_subsemigroup,
     verify_theorem,
 )
-from finsemi import automorphisms, core, theorem
+from finsemi import core, theorem
 from finsemi.inflation import POLICIES, InflationWitness
 from support import (
     FIXTURES,
@@ -63,6 +63,7 @@ from support import (
     S6,
     Z3,
     naive_automorphism_images,
+    naive_orbit,
     naive_sift,
     non_products_first,
     random_magma_inflation,
@@ -648,22 +649,12 @@ S6_CLASS_SPLIT = Permutation((0, 1, 2, 4, 3, 5))
 
 
 def _regrow(chain, generators):
-    """The chain on the same base, its orbits regrown from generators."""
-    base, n = chain.base, len(chain.base)
+    """The chain on the same base, its orbit lengths regrown from generators."""
+    base = chain.base
     level = {g: next(k for k, b in enumerate(base) if g[b] != b) for g in generators}
-    # deepest level first, as the search finds them, so those of level >= k are a prefix
-    generators = sorted(generators, key=level.__getitem__, reverse=True)
-    return chain._replace(
-        generators=tuple(generators),
-        orbits=tuple(
-            tuple(
-                automorphisms._transversal(
-                    b, generators[: sum(level[g] >= k for g in generators)], tuple(range(n))
-                )
-            )
-            for k, b in enumerate(base)
-        ),
-    )
+    # deepest level first, as the search finds them
+    chain = chain._replace(generators=tuple(sorted(generators, key=level.__getitem__, reverse=True)))
+    return chain._replace(lengths=tuple(len(naive_orbit(chain, k)) for k in range(len(base))))
 
 
 def _on_s6(edit, *, h=False):
@@ -690,11 +681,11 @@ def _without_class_swap(chain):
 
 
 def _first_orbit_cut_to_its_base_point(chain):
-    return chain._replace(orbits=((chain.base[0],),) + chain.orbits[1:])
+    return chain._replace(lengths=(1,) + chain.lengths[1:])
 
 
 def _replaced(chain, old, new):
-    """The chain with new in place of old as a generator; the orbits keep their points."""
+    """The chain with new in place of old as a generator; the orbit lengths stay."""
     assert old in chain.generators
     return chain._replace(generators=tuple(new if g == old else g for g in chain.generators))
 
@@ -727,7 +718,7 @@ class TestVerifyTheoremFlagsFail:
     def test_s6_chain_holds_the_generators_the_faults_edit(self):
         chain = theorem._automorphism_chain(S6)
         assert S6_CLASS_SWAP.images in chain.generators
-        assert chain.base[0] == 0 and chain.orbits[0] == (0, 1)
+        assert chain.base[0] == 0 and chain.lengths[0] == 2
         assert chain.order == 8
 
     def test_h_reduced_to_identity(self, monkeypatch):
@@ -947,6 +938,18 @@ def _assert_seeded_chain_is_the_unseeded_chain(table):
 SEMILATTICE = CayleyTable([[0, 0, 0], [0, 1, 0], [0, 0, 2]])  # 1 * 2 = 0
 
 
+def _recorded_chains(monkeypatch):
+    """The list that every chain verify_theorem builds is appended to, in order."""
+    chains, search = [], theorem._automorphism_chain
+
+    def recorded(*args, **kwargs):
+        chains.append(search(*args, **kwargs))
+        return chains[-1]
+
+    monkeypatch.setattr(theorem, "_automorphism_chain", recorded)
+    return chains
+
+
 class TestSeededAutSearch:
     """Seeds are strong generators found without search, so the chain stays exact."""
 
@@ -968,14 +971,7 @@ class TestSeededAutSearch:
 
     def test_semilattice_inflated_to_order_100_needs_no_aut_search(self, monkeypatch):
         table, _ = build_inflation(FiberSizeSpec(SEMILATTICE, (1, 49, 50)), max_order=100)
-        chains = []
-        search = theorem._automorphism_chain
-
-        def recorded(*args, **kwargs):
-            chains.append(search(*args, **kwargs))
-            return chains[-1]
-
-        monkeypatch.setattr(theorem, "_automorphism_chain", recorded)
+        chains = _recorded_chains(monkeypatch)
         report = verify_theorem(table, max_order=100)
         assert report.all_flags and report.witnesses == ()
         assert report.aut_order == math.factorial(48) * math.factorial(49)
@@ -993,6 +989,18 @@ class TestSeededAutSearch:
             tracemalloc.stop()
         assert report.all_flags and report.aut_order == math.factorial(98) * math.factorial(99)
         assert peak < 4 * 2**20, peak
+
+    def test_semilattice_inflated_to_order_1001_searches_past_the_recursion_limit(
+        self, monkeypatch
+    ):
+        # the search for the map that swaps the two 500-id fibers runs about
+        # 1000 positions deep; one that recursed per position raised RecursionError
+        table, _ = build_inflation(FiberSizeSpec(SEMILATTICE, (1, 500, 500)), max_order=1001)
+        chains = _recorded_chains(monkeypatch)
+        report = verify_theorem(table, max_order=1001)
+        assert report.all_flags and report.witnesses == ()
+        assert report.h_order == 2 and report.aut_order == 2 * math.factorial(499) ** 2
+        assert chains[0].nodes == 250_001
 
 
 UP_TO_ISO = {n: list(enumerate_semigroups(EnumerationTask(n, "up_to_iso"))) for n in (1, 2, 3, 4)}
