@@ -165,8 +165,8 @@ def is_automorphism(table: CayleyTable, p: Permutation) -> bool:
     return automorphism_witness(table, p) is None
 
 
-def _plan(table: CayleyTable, extra: Sequence | None) -> tuple[list[int], list]:
-    """Search order and the candidate cell of each position.
+def _plan(table: CayleyTable, extra: Sequence | None) -> tuple[list[int], list, list[int]]:
+    """Search order, the candidate cell of each position, and each id's position.
 
     This is the set-up of _automorphism_chain.  Each id is coloured by two
     invariants every automorphism keeps, (is a product, is idempotent),
@@ -184,18 +184,20 @@ def _plan(table: CayleyTable, extra: Sequence | None) -> tuple[list[int], list]:
     for cell in sorted(by_colour.values(), key=len):
         order += cell
         candidates += [cell] * len(cell)
-    return order, candidates
+    position = [0] * len(order)
+    for k, x in enumerate(order):
+        position[x] = k
+    return order, candidates, position
 
 
-def _buckets(rows: Sequence[Sequence[int]], order: list[int]) -> list[list[tuple[int, int, int]]]:
+def _buckets(
+    rows: Sequence[Sequence[int]], position: list[int]
+) -> list[list[tuple[int, int, int]]]:
     """Per search position, the triples (x, y, x*y) whose deepest id sits there.
 
     So each product is checked once the images of its three ids are assigned.
     """
-    n = len(order)
-    position = [0] * n
-    for k, x in enumerate(order):
-        position[x] = k
+    n = len(position)
     bucket: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for x in range(n):
         row, px = rows[x], position[x]
@@ -289,10 +291,11 @@ def _automorphism_chain(
     """
     n = table.order
     rows = table.rows
-    order, candidates = _plan(table, extra)
+    order, candidates, position = _plan(table, extra)
     seeded: dict[int, list[tuple[int, ...]]] = {}
     for g in seeds:
-        seeded.setdefault(next(k for k, b in enumerate(order) if g[b] != b), []).append(g)
+        level = min([position[x] for x, y in enumerate(g) if x != y])
+        seeded.setdefault(level, []).append(g)
     bucket: list = []
     # every id starts fixed; level k frees base[k] before it searches
     img = list(range(n))
@@ -358,12 +361,16 @@ def _automorphism_chain(
         used[b] = False
         for g in seeded.get(k, ()):
             add(g)
+        cell = candidates[k]
+        if len(cell) == 1:  # every automorphism keeps the colour, so it fixes b
+            lengths.append(1)
+            continue
         # base[0..k-1] are fixed, so the ids after b in its cell are all free
-        for v in candidates[k][candidates[k].index(b) + 1 :]:
+        for v in cell[cell.index(b) + 1 :]:
             if find(v) == find(b):
                 continue
             if not bucket:
-                bucket = _buckets(rows, order)
+                bucket = _buckets(rows, position)
             if first_leaf(k, v):
                 add(tuple(img))
                 for x in order[k:]:

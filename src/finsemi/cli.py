@@ -232,8 +232,8 @@ def _add_io_flags(sub, *, policy=False, max_order=None):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each sub-command's own parser by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="finsemi",
         description="Analyze the inflation structure of finite semigroups.",
@@ -283,11 +283,24 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sub.set_defaults(func=_cmd_enumerate)
 
-    return parser
+    return parser, subs.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, subs = _parsers()
+    # the full parser hands all after the sub-command's name to that sub-command's
+    # parser, so it alone reads the same; leftovers and any other argv go to the full one
+    sub = subs.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+    if sub is None or extra:
+        args = parser.parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # so that a closed stdout raises here, not at interpreter exit

@@ -147,25 +147,42 @@ def data_lines(text: str) -> list[str]:
     return [s for line in text.splitlines() if (s := line.strip()) and s[0] != "#"]
 
 
+def _read_ids(tokens: Sequence[str]) -> tuple[int, ...]:
+    """The ints the tokens spell; ValueError unless each is plain ASCII digits.
+
+    int() alone also reads a sign, underscores and non-ASCII digits.
+    """
+    digits = "".join(tokens)
+    if digits and not (digits.isascii() and digits.isdigit()):
+        raise ValueError(digits)
+    return tuple(map(int, tokens))
+
+
 def table_from_lines(lines: Sequence[str]) -> tuple[CayleyTable, int]:
     """Read one table from pre-cleaned lines; return it and the lines consumed."""
     if not lines:
         raise MalformedInput("no data lines")
     try:
-        n = int(lines[0])
+        (n,) = _read_ids([lines[0]])
     except ValueError:
         raise MalformedInput(f"expected the order, got {lines[0]!r}") from None
     if n < 1:
         raise MalformedInput(f"order must be at least 1, got {n}")
     if len(lines) < 1 + n:
         raise MalformedInput(f"expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for line in lines[1 : 1 + n]:
-        try:
-            rows.append(tuple(map(int, line.split())))
-        except ValueError:
-            raise MalformedInput(f"non-integer entry in row {line!r}") from None
-    if not all(len(row) == n and 0 <= min(row) and max(row) < n for row in rows):
+    body = lines[1 : 1 + n]
+    spelled = {str(i): i for i in range(n)}  # each id as str() spells it
+    try:  # the common case: every entry is an id spelled so, hence in range
+        rows = [tuple(map(spelled.__getitem__, line.split())) for line in body]
+    except KeyError:  # a leading zero, an id out of range, or a token that is no id
+        rows = []
+        for line in body:
+            try:
+                rows.append(_read_ids(line.split()))
+            except ValueError:
+                raise MalformedInput(f"non-integer entry in row {line!r}") from None
+        return CayleyTable(rows), 1 + n  # checks each row's length and range
+    if set(map(len, rows)) != {n}:
         CayleyTable(rows)  # raises the error of the first bad row
     return CayleyTable._unchecked(tuple(rows)), 1 + n
 

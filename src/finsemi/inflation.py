@@ -17,6 +17,7 @@ from .core import (
     CayleyTable,
     Partition,
     _first_non_id,
+    _read_ids,
     data_lines,
     format_table,
     refuse_non_associative,
@@ -164,24 +165,23 @@ def verify_inflation(table: CayleyTable, r: RetractionMap) -> InflationWitness |
     """
     if len(r.theta) != table.order:
         raise MalformedInput("retraction and table orders differ")
-    theta = r.theta
-    rows = table.rows
-    n = table.order
+    theta, rows, n = r.theta, table.rows, table.order
     for x in range(n):
         if theta[theta[x]] != theta[x]:
             return InflationWitness("idempotent", (x,))
+    # theta is idempotent, so its image is the ids it fixes
     image = sorted(set(theta))
-    members = set(image)
     for a in image:
+        ra = rows[a]
         for b in image:
-            if rows[a][b] not in members:
+            if theta[ra[b]] != ra[b]:
                 return InflationWitness("image-closed", (a, b))
-    # Row theta(a) read at theta against row a, both read whole by itemgetter: one
-    # over a single index returns the entry, not a 1-tuple, so both sides take one.
-    at_theta, at_all = itemgetter(*theta), itemgetter(*range(n))
+    # Row theta(a) read at theta against row a, read whole by itemgetter; over one
+    # index it returns the entry itself, so then a one-wide slice reads a 1-tuple.
+    at_theta = itemgetter(*theta) if n > 1 else itemgetter(slice(0, 1))
     for a, ra in enumerate(rows):
         rt = rows[theta[a]]
-        if at_theta(rt) != at_all(ra):
+        if at_theta(rt) != ra:
             b = next(b for b in range(n) if rt[theta[b]] != ra[b])
             return InflationWitness("product", (a, b))
     return None
@@ -191,17 +191,19 @@ def verify_kernel_in_h(r: RetractionMap, h: Partition) -> tuple[int, int] | None
     """Least pair identified by theta but not h-related, or None."""
     if len(r.theta) != h.order:
         raise MalformedInput("retraction and partition orders differ")
+    theta, block_of = r.theta, h.block_of
+    if len(set(zip(theta, block_of))) == len(set(theta)):  # no fibre meets two blocks
+        return None
     # In a fibre of theta with least id a, a failing pair (c, d) has c or d outside
     # a's h block, so (a, that id) fails and is no larger: the fibre's least failing
     # pair is a and the first id after it in another block.  The least over fibres wins.
-    block_of = h.block_of
     least: dict[int, int] = {}
     pairs: dict[int, tuple[int, int]] = {}
-    for b, t in enumerate(r.theta):
+    for b, t in enumerate(theta):
         a = least.setdefault(t, b)
         if t not in pairs and block_of[a] != block_of[b]:
             pairs[t] = (a, b)
-    return min(pairs.values(), default=None)
+    return min(pairs.values())
 
 
 def restrict_to_subsemigroup(
@@ -266,7 +268,7 @@ def _read_fiber_spec(text: str) -> FiberSizeSpec:
     if len(rest) != 1 or not rest[0].startswith("sizes:"):
         raise MalformedInput("expected exactly one `sizes:` line after the table")
     try:
-        sizes = tuple(int(tok) for tok in rest[0][len("sizes:"):].split())
+        sizes = _read_ids(rest[0][len("sizes:"):].split())
     except ValueError:
         raise MalformedInput(f"non-integer fiber size in {rest[0]!r}") from None
     return FiberSizeSpec(base, sizes)

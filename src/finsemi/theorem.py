@@ -30,9 +30,10 @@ Aut = H-bar = H, and then there is one search: restricting to every id
 renumbers nothing and the class sizes are all 1, a colour every id shares,
 so H is Aut itself and the Aut chain is a stabilizer chain of it.  The
 pipeline's own partitions, transversal, retraction, listings and T's table
-are valid by construction and skip the public constructors' checks, but
-induced_retraction and extension_scheme each still run
-inflation._rep_of_block, a scan that T holds one id per psi class.
+are valid by construction and skip the public constructors' checks: the
+retraction and the listings are read off each id's class position, so the
+inflation._rep_of_block scan that induced_retraction and extension_scheme
+run on a caller's transversal is not repeated.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused names here
@@ -60,7 +62,8 @@ from .automorphisms import (  # noqa: F401  bench/tracing.py looks up the unused
 from .core import CayleyTable, Partition, _is_arrangement, _structure, compute_h
 from .core import compute_psi  # noqa: F401  bench/tracing.py looks it up here
 from .errors import MalformedInput, NotAnAutomorphism, NotExtendable, OrderTooLarge
-from .inflation import (  # noqa: F401  bench/tracing.py looks up restrict_to_subsemigroup here
+from .inflation import (  # noqa: F401  bench/tracing.py looks up the unused names here
+    RetractionMap,
     Transversal,
     _rep_of_block,
     choose_transversal,
@@ -103,7 +106,7 @@ class ExtensionScheme:
 
 def predicted_class_group_order(psi: Partition) -> int:
     """Product of the factorials of the psi class sizes."""
-    return math.prod(math.factorial(len(b)) for b in psi.blocks)
+    return math.prod(map(math.factorial, map(len, psi.blocks)))
 
 
 def psi_class_group(psi: Partition) -> PermGroup:
@@ -132,9 +135,15 @@ def psi_class_group(psi: Partition) -> PermGroup:
 def extension_scheme(psi: Partition, t: Transversal) -> ExtensionScheme:
     """Fix the canonical listings used by every extension and decomposition."""
     _rep_of_block(psi, t)  # one representative per class, so the listings partition the ids
+    return _scheme(psi, t.representatives)
+
+
+def _scheme(psi: Partition, reps: Sequence[int]) -> ExtensionScheme:
+    """extension_scheme for reps known to hold one id per class of psi."""
+    blocks, block_of = psi.blocks, psi.block_of
     listings = []
-    for rep in t.representatives:
-        block = psi.block_containing(rep)
+    for rep in reps:
+        block = blocks[block_of[rep]]
         # a block is ascending, so it is its own listing when rep is its least id
         listings.append(block if block[0] == rep else (rep, *[x for x in block if x != rep]))
     return ExtensionScheme._unchecked(psi.order, tuple(listings))
@@ -204,9 +213,10 @@ def _class_action(
     position of the class that images map the class of reps[k] onto.
     A bijection that splits no class merges none, so the result permutes.
     """
-    onto = [pos[v] for v in images]
-    tau = tuple([onto[rep] for rep in reps])
-    if [tau[k] for k in pos] != onto:
+    tau = tuple([pos[images[rep]] for rep in reps])
+    # each id's class sent by tau against the class the id lands in; both sides
+    # read n entries, so for n = 1 both are the entry itself
+    if itemgetter(*pos)(tau) != itemgetter(*images)(pos):
         return None
     return tau
 
@@ -220,7 +230,10 @@ def _is_class_swap(rows, prods: frozenset[int], x: int, y: int) -> bool:
     """
     if x in prods or y in prods or rows[x] != rows[y]:
         return False
-    return all(row[x] == row[y] for row in rows)
+    for row in rows:
+        if row[x] != row[y]:
+            return False
+    return True
 
 
 def _h_bar(generators: Sequence[Sequence[int]], scheme: ExtensionScheme) -> list[tuple[int, ...]]:
@@ -287,14 +300,13 @@ class TheoremReport:
         }
 
     def to_text(self) -> str:
+        """A `key: value` line per field in declared order, then a line per witness."""
         lines = []
-        for key, value in self.to_json_dict().items():
-            if isinstance(value, bool):
-                value = str(value).lower()
-            elif isinstance(value, list):
-                value = " ".join(map(str, value))
-            elif isinstance(value, dict):  # the witnesses: a count here, a line each below
-                value = len(value)
+        for key, value in vars(self).items():
+            if value is True or value is False:
+                value = "true" if value else "false"
+            elif type(value) is tuple:  # the witnesses: a count here, a line each below
+                value = len(value) if key == "witnesses" else " ".join(map(str, value))
             lines.append(f"{key}: {value}")
         lines.extend(f"witness {k}: {v}" for k, v in self.witnesses)
         return "\n".join(lines) + "\n"
@@ -357,7 +369,9 @@ def verify_theorem(
     reps, pos = t.representatives, _class_positions(psi, t.representatives)
 
     witnesses: dict[str, str] = {}
-    r = induced_retraction(psi, t)
+    # t holds one id per class by construction, so the retraction and the
+    # listings are read off reps and pos, with no _rep_of_block scan
+    r = RetractionMap._unchecked(tuple([reps[k] for k in pos]), t)
     bad_axiom = verify_inflation(table, r)
     if bad_axiom is not None:
         witnesses["inflation"] = f"{bad_axiom.axiom} fails at {bad_axiom.elements}"
@@ -365,12 +379,12 @@ def verify_theorem(
     if bad_pair is not None:
         witnesses["kernel"] = f"theta identifies the h-unrelated pair {bad_pair}"
 
-    scheme = extension_scheme(psi, t)
+    scheme = _scheme(psi, reps)
     if len(reps) == n:
         h, sub = aut, table  # T = S: H is Aut itself, and T's table is the table
     else:
         # T holds every product by (P), a singleton class, so pos renumbers T in order
-        sub = CayleyTable._unchecked(tuple(tuple([pos[rows[a][b]] for b in reps]) for a in reps))
+        sub = CayleyTable._unchecked(tuple([tuple([pos[rows[a][b]] for b in reps]) for a in reps]))
         class_sizes = tuple(map(len, scheme.listings))
         try:
             h = _automorphism_chain(sub, class_sizes, max_nodes=budget - aut.nodes)
@@ -436,7 +450,7 @@ def verify_theorem(
 
     return TheoremReport(
         order=n,
-        psi_class_sizes=tuple(sorted(len(b) for b in psi.blocks)),
+        psi_class_sizes=tuple(sorted(map(len, psi.blocks))),
         aut_order=aut_order,
         h_order=h_order,
         g_order=predicted_g,

@@ -74,6 +74,30 @@ def naive_inflation_witness(rows, theta) -> tuple[str, tuple[int, ...]] | None:
     return None
 
 
+def naive_class_action(images, block_of, reps) -> tuple[int, ...] | None:
+    """Position in reps of the class each class of reps lands in, or None when one splits.
+
+    Class by class: every id of the class of reps[k] must land in one class, the one
+    holding reps[tau[k]].
+    """
+    tau = []
+    for rep in reps:
+        landing = {block_of[images[x]] for x in range(len(images)) if block_of[x] == block_of[rep]}
+        if len(landing) != 1:
+            return None
+        (target,) = landing
+        tau.append(next(k for k, r in enumerate(reps) if block_of[r] == target))
+    return tuple(tau)
+
+
+def naive_first_failure(rows, ids) -> tuple[int, int, int] | None:
+    """First (a, b, c) over ids, in lexicographic order of their places in ids, that fails."""
+    for a, b, c in itertools.product(ids, repeat=3):
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            return (a, b, c)
+    return None
+
+
 def naive_kernel_pair(theta, block_of) -> tuple[int, int] | None:
     """Least pair a < b with theta(a) = theta(b) in different blocks, over every pair."""
     n = len(theta)

@@ -7,8 +7,15 @@ import sys
 
 import pytest
 
-from finsemi import CayleyTable, core, format_table, verify_theorem
-from finsemi.cli import main
+from finsemi import (
+    CayleyTable,
+    MalformedInput,
+    core,
+    format_table,
+    parse_fiber_spec,
+    verify_theorem,
+)
+from finsemi.cli import build_parser, main
 from support import L2, N3, S6
 
 S6_TEXT = format_table(S6)
@@ -473,6 +480,82 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+SUBCOMMANDS = [
+    "check", "analyze", "aut", "verify-theorem", "build-inflation", "enumerate", "corpus"
+]
+
+
+def parse_failures(command):
+    """Arguments that every parse refuses, or that ask for help, for one sub-command."""
+    cases = [["--help"], ["--format", "yaml"], ["--max-order", "x"], ["--order", "x"], ["a", "b"]]
+    cases += [["--bogus"], ["-"] + ["--max-order"] * 2]
+    if command in ("enumerate", "corpus"):
+        cases += [[], ["--order", "2", "--bogus"], ["--order", "2", "extra"]]
+    return [pytest.param(command, argv, id=f"{command} {' '.join(argv)}") for argv in cases]
+
+
+class TestDirectDispatch:
+    """main parses with the sub-command's own parser; the full parser is the reference."""
+
+    @staticmethod
+    def exit_of(call, capsys):
+        with pytest.raises(SystemExit) as info:
+            call()
+        return info.value.code, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command,argv", [case for command in SUBCOMMANDS for case in parse_failures(command)]
+    )
+    def test_matches_the_full_parser(self, capsys, command, argv):
+        argv = [command, *argv]
+        expected = self.exit_of(lambda: build_parser().parse_args(argv), capsys)
+        assert self.exit_of(lambda: main(argv), capsys) == expected
+        assert expected[0] in (0, 2)
+
+    def test_unrecognized_arguments_name_the_full_program(self, capsys):
+        code, captured = self.exit_of(lambda: main(["verify-theorem", "--bogus"]), capsys)
+        assert code == 2
+        assert captured.err.endswith("finsemi: error: unrecognized arguments: --bogus\n")
+
+
+class TestIdsArePlainDigits:
+    """A token is an id only when it is plain ASCII decimal digits, which int() does not check."""
+
+    def test_signed_entry(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, "t", "2\n0 0\n1 +1\n")]) == 2
+        assert capsys.readouterr().err == "finsemi: non-integer entry in row '1 +1'\n"
+
+    def test_underscored_entry(self, tmp_path, capsys):
+        ten = " ".join(["10"] * 11)
+        text = left_zero_text(11).replace(ten, ten.replace("10", "1_0"))
+        assert text.endswith("\n" + " ".join(["1_0"] * 11) + "\n")
+        assert main(["check", write(tmp_path, "t", text)]) == 2
+        assert capsys.readouterr().err.startswith("finsemi: non-integer entry in row '1_0 1_0")
+
+    def test_underscored_order(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, "t", "0_2\n0 0\n0 0\n")]) == 2
+        assert capsys.readouterr().err == "finsemi: expected the order, got '0_2'\n"
+
+    def test_underscored_and_signed_fiber_sizes(self, tmp_path, capsys):
+        path = write(tmp_path, "t", "2\n0 0\n1 1\nsizes: 1_0 +1\n")
+        assert main(["build-inflation", path]) == 2
+        assert capsys.readouterr().err == "finsemi: non-integer fiber size in 'sizes: 1_0 +1'\n"
+
+    def test_no_fiber_sizes_is_a_count_mismatch(self, tmp_path, capsys):
+        assert main(["build-inflation", write(tmp_path, "t", "2\n0 0\n1 1\nsizes:\n")]) == 2
+        assert capsys.readouterr().err == "finsemi: 0 sizes for an order 2 base\n"
+
+    def test_non_ascii_digits_in_the_library(self):
+        with pytest.raises(MalformedInput, match="non-integer entry"):
+            core.parse_table("2\n0 0\n1 \u0661\n")
+        with pytest.raises(MalformedInput, match="non-integer fiber size"):
+            parse_fiber_spec("2\n0 0\n1 1\nsizes: 1 \u0661\n")
+
+    def test_leading_zeros_are_digits(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, "t", "2\n00 0\n1 01\n")]) == 0
+        assert capsys.readouterr().out == "associative\n"
 
 
 class TestClosedStdout:

@@ -39,6 +39,7 @@ from support import (
     Z2,
     Z3,
     naive_associativity_witness,
+    naive_first_failure,
 )
 
 
@@ -123,6 +124,13 @@ class TestParseTable:
             "2\n0 1\n1 0\nextra",
             "2\n0 1 1\n1 0",
             "2\n0 3\n1 0",
+            "2\n0 0\n1 +1",
+            "2\n0 0\n1 -0",
+            "0_2\n0 0\n0 0",
+            "+2\n0 0\n0 0",
+            "11\n" + "".join(" ".join([str(x)] * 11) + "\n" for x in range(10)) + "1_0 " * 11,
+            "2\n0 0\n1 \u0661",
+            "\u0662\n0 0\n1 1",
         ],
     )
     def test_malformed_inputs(self, text):
@@ -180,6 +188,26 @@ class TestCheckAssociativity:
         assert len(corpus_by_order[4]) == 3492
         for table in corpus_by_order[4]:
             assert check_associativity(table) == naive_associativity_witness(table.rows)
+
+    def test_first_failure_over_every_subset_of_the_ids(self, corpus_by_order):
+        # ids of one element included, where a scan of whole rows would read one entry
+        def subsets(n):
+            return [c for k in range(1, n + 1) for c in itertools.combinations(range(n), k)]
+
+        failing = 0
+        for n in (1, 2, 3):
+            for vals in itertools.product(range(n), repeat=n * n):
+                rows = tuple(vals[i * n : (i + 1) * n] for i in range(n))
+                for ids in subsets(n):
+                    got = core._first_failure(rows, list(ids))
+                    assert got == naive_first_failure(rows, ids), (rows, ids)
+                    failing += got is not None
+        for table in corpus_by_order[4]:
+            for ids in subsets(4):
+                assert core._first_failure(table.rows, list(ids)) == naive_first_failure(
+                    table.rows, ids
+                )
+        assert failing > 50000
 
     def test_large_inflations_with_one_cell_changed(self, corpus_by_order, monkeypatch):
         # the witness must still be the least failing triple of the whole table

@@ -197,6 +197,22 @@ class TestRowWiseScansMatchTheDoubleLoops:
             failures += self.check(table, perms, retractions)
         assert failures > 100000
 
+    def test_every_semigroup_of_order_at_most_four(self, corpus_by_order):
+        # with the constant maps, whose image is one id, and order 1, where every
+        # row and theta is one entry
+        failures = 0
+        for n in (1, 2, 3, 4):
+            perms = list(itertools.permutations(range(n)))
+            thetas = [tuple(range(n))] + [(t,) * n for t in range(n)]
+            for table in corpus_by_order[n]:
+                psi = compute_psi(table)
+                retractions = [retraction_from_theta(t) for t in thetas] + [
+                    induced_retraction(psi, choose_transversal(psi, policy, 5))
+                    for policy in POLICIES
+                ]
+                failures += self.check(table, perms, retractions)
+        assert failures > 50000
+
     def test_perturbed_inflations_up_to_order_nine(self):
         rng = random.Random(90)
         failures = 0

@@ -63,6 +63,7 @@ from support import (
     S6,
     Z3,
     naive_automorphism_images,
+    naive_class_action,
     naive_orbit,
     naive_sift,
     non_products_first,
@@ -396,6 +397,37 @@ class TestConjugationAction:
             assert shared == {identity(table.order)}
 
 
+class TestClassActionMatchesTheOracle:
+    """theorem._class_action against naive_class_action, class by class, on every permutation."""
+
+    def check(self, table, policies):
+        """Compare on every permutation of the ids; return how many split a class."""
+        psi, n = compute_psi(table), table.order
+        splits = 0
+        for policy in policies:
+            reps = choose_transversal(psi, policy, 5).representatives
+            pos = theorem._class_positions(psi, reps)
+            for images in itertools.permutations(range(n)):
+                got = theorem._class_action(images, pos, reps)
+                assert got == naive_class_action(images, psi.block_of, reps), (table, images)
+                splits += got is None
+        return splits
+
+    def test_every_semigroup_of_order_at_most_four(self, corpus_by_order):
+        # order 1 is the single-id case, where itemgetter returns the entry itself
+        assert self.check(corpus_by_order[1][0], POLICIES) == 0
+        splits = sum(
+            self.check(table, POLICIES) for n in (2, 3, 4) for table in corpus_by_order[n]
+        )
+        assert splits > 5000
+
+    def test_every_magma_of_order_three(self):
+        splits = 0
+        for vals in itertools.product(range(3), repeat=9):
+            splits += self.check(CayleyTable([vals[0:3], vals[3:6], vals[6:9]]), ("least",))
+        assert splits > 0  # few magmas of order 3 have a class of two ids
+
+
 class TestVerifyTheorem:
     @pytest.mark.parametrize(
         "name,aut,h,g",
@@ -620,6 +652,35 @@ class TestVerifyTheorem:
         assert verify_theorem(S6, "greatest").transversal_used == (0, 1, 4, 5)
         assert verify_theorem(S6, "least").transversal_used == (0, 1, 2, 3)
 
+    def test_the_structure_checks_read_the_induced_retraction(self, monkeypatch):
+        seen = []
+        check = theorem.verify_inflation
+        monkeypatch.setattr(
+            theorem, "verify_inflation", lambda table, r: seen.append(r) or check(table, r)
+        )
+        for table in [*FIXTURES.values(), *SMALL_SEMIGROUPS]:
+            for policy in POLICIES:
+                seen.clear()
+                verify_theorem(table, policy, 9)
+                psi = compute_psi(table)
+                assert seen == [induced_retraction(psi, choose_transversal(psi, policy, 9))]
+
+    def test_class_swap_reads_rows_and_columns(self):
+        # the order-3 magmas, and order-4 tables whose entries leave 0 and 1 non-products,
+        # some with equal rows but unequal columns
+        grids = [(3, v) for v in itertools.product(range(3), repeat=9)]
+        grids += [(4, v) for v in itertools.product((2, 3), repeat=16)]
+        swaps = 0
+        for n, vals in grids:
+            rows = tuple(vals[i * n : (i + 1) * n] for i in range(n))
+            prods = frozenset(vals)
+            for x, y in itertools.combinations(range(n), 2):
+                twins = rows[x] == rows[y] and all(row[x] == row[y] for row in rows)
+                expected = twins and x not in prods and y not in prods
+                assert theorem._is_class_swap(rows, prods, x, y) == expected, (rows, x, y)
+                swaps += expected
+        assert swaps > 500
+
     def test_unknown_policy_is_refused_before_the_aut_search(self, monkeypatch):
         def refusing(*args, **kwargs):
             raise AssertionError("the Aut search ran")
@@ -751,6 +812,28 @@ class TestVerifyTheoremFlagsFail:
             doc = report.to_json_dict()
             assert list(doc) == names
             assert doc["witnesses"] == dict(report.witnesses)
+
+    def test_text_keys_are_the_fields_in_declared_order(self, monkeypatch):
+        names = [f.name for f in fields(TheoremReport)]
+        passing = verify_theorem(S6)
+        monkeypatch.setattr(
+            theorem, "_automorphism_chain", _on_s6(lambda c: _regrow(c, []), h=True)
+        )
+        failing = verify_theorem(S6)
+        assert passing.all_flags and not failing.all_flags and failing.witnesses
+        for report in (passing, failing):
+            lines = report.to_text().splitlines()
+            keys = [line.partition(": ")[0] for line in lines]
+            assert keys == names + [f"witness {k}" for k, _ in report.witnesses]
+            # each value as the JSON document writes it, lists space-separated
+            for line, value in zip(lines, report.to_json_dict().values()):
+                if isinstance(value, list):
+                    value = " ".join(map(str, value))
+                elif isinstance(value, dict):
+                    value = len(value)
+                elif isinstance(value, bool):
+                    value = json.dumps(value)
+                assert line.partition(": ")[2] == str(value)
 
     def test_h_bar_meets_g(self, monkeypatch):
         # the class swap added to the lifted H generators
