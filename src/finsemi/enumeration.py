@@ -1,21 +1,27 @@
 """Exhaustive generation of small multiplication tables.
 
 The generator fills table cells one at a time, one generator frame per
-cell, and tries at each cell only the values that fail no fully determined
-associativity triple, so only semigroups reach the leaves.  A triple that
-reads the cell only as (ab)c or as a(bc) forces its value, and two
-different forced values close the branch; the forced value, or every
-value when none is forced, is then checked against the triples that read
-the cell as ab or as bc.  The set cells are indexed by value, so the
-forcing triples are read off two lists.
+cell, and tries at each cell only the values that fail no fully set
+associativity triple, so only semigroups reach the leaves.  It checks
+forward (Haralick and Elliott, 1980; Distler and Kelsey propagate the same
+way in constraint-based semigroup enumeration): once a triple's (a,b) and
+(b,c) are set and one of its product cells (ab,c), (a,bc) is, the other is
+forced to the same value, on a forced grid with one shared trail that each
+value undoes.  Two different forced values on one cell close the branch
+where the second arises, and a cell with a forced value tries only that
+value.  Check plans, built once per fill, list for each cell the rows and
+columns set by the time it is, so its checks read only set inner cells,
+and the set cells are indexed by value, so the triples that read a cell as
+a product are read off two lists.  The leaves and their order are those of
+a fill that tries every value.
 
 Canonical forms take the least encoding over the n! relabelings, which is
-affordable at the orders this tool targets: a plan cached per order lists
-each relabeling's images and, for each row-major position, the flat index
-its entry comes from, grouped by the ids sent to 0 and 1.  Only the groups
-whose first two entries can be least are read, a candidate is dropped at
-the first position where it differs from the least encoding so far, and
-a table that no relabeling encodes smaller is returned as it is.
+affordable at the orders this tool targets: a plan cached per order holds
+each relabeling as a bytes.translate table of its images and an itemgetter
+of the flat index each row-major entry comes from, grouped by the ids sent
+to 0 and 1.  Only the groups whose first two entries can be least are
+read, each candidate is built and compared in C as a tuple, and a table
+that no relabeling encodes smaller is returned as it is.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import time
 from dataclasses import dataclass
 from typing import IO, Iterator
@@ -44,6 +51,8 @@ class EnumerationTask:
     mode: str = "labelled"
 
     def __post_init__(self):
+        if not isinstance(self.order, int) or isinstance(self.order, bool):
+            raise MalformedInput(f"order must be an int, got {self.order!r}")
         if self.order < 1:
             raise MalformedInput(f"order must be at least 1, got {self.order}")
         if self.mode not in MODES:
@@ -58,65 +67,144 @@ def _fill(
     at[v] lists the set cells that hold v.  A triple (a, b, c) reads (a,b),
     (b,c), (ab,c) and (a,bc) and fails only when all four are set (not -1)
     and (ab)c != a(bc); a cell takes, ascending, each value v for which no
-    triple fails once it holds v.  A triple that reads cell (i, j) only as
-    (ab,c) or as (a,bc) has ab = i or bc = j, so at[i] and at[j] list every
-    one of them, and each forces a value; the forced value, or every value,
-    is tried against the triples that read (i, j) as (a,b) or as (b,c).
-    Run to the end, the fill leaves the grid and at as they were.
+    triple fails once it holds v.  forced[x][y] is the value forced on the
+    unset cell (x, y), -1 when none, and n on a cell the fill never sets,
+    which nothing forces.  The start grid's triples force first; after that
+    each value forces from the triples it completes: those that read it as
+    (a,b) or (b,c), which its check plans list, and those that read it as
+    (ab,c) or (a,bc), which at[i] and at[j] list.  A triple that reads the
+    cell only as a product has forced it by the time it is set, so a value
+    passes when the triples that read it as (a,b) or (b,c) hold and no
+    forcing conflicts.  Run to the end, the fill leaves the grid and at as
+    they were.
     """
     n = len(grid)
     values = range(n)
     last = len(cells) - 1
+    forced = [[n] * n for _ in values]
+    for i, j in cells:
+        forced[i][j] = -1
+    trail: list = []  # each forced row and column, in turn; a value undoes its own
+
+    # the plan of cell (i, j): the c with (j, c) set and the a with (a, i)
+    # set once (i, j) is, the cells before it in the fill being set
+    set_by = [[v >= 0 for v in row] for row in grid]
+    plans = []
+    for i, j in cells:
+        set_by[i][j] = True
+        plans.append(([c for c in values if set_by[j][c]], [a for a in values if set_by[a][i]]))
+
+    for a, ga in enumerate(grid):
+        for b, u in enumerate(ga):
+            if u >= 0:
+                for c, y in enumerate(grid[b]):
+                    if y >= 0:  # (a, b, c): (uc) and (ay) each force the other
+                        for x, z, w in ((a, y, grid[u][c]), (u, c, ga[y])):
+                            f = forced[x][z]
+                            if w >= 0 > grid[x][z] and f != w and f != n:
+                                if f >= 0:
+                                    return iter(())
+                                forced[x][z] = w
 
     def fill(k: int) -> Iterator[CayleyTable]:
         i, j = cell = cells[k]
+        cs, as_ = plans[k]
         gi = grid[i]
-        forced = -1
-        for a, b in at[i]:  # (a, b, j) with ab = i: v = a(bj)
-            y = grid[b][j]
-            if y >= 0:
-                q = grid[a][y]
-                if q >= 0 and q != forced:
-                    if forced >= 0:
-                        return
-                    forced = q
-        for b, c in at[j]:  # (i, b, c) with bc = j: v = (ib)c
-            u = gi[b]
-            if u >= 0:
-                p = grid[u][c]
-                if p >= 0 and p != forced:
-                    if forced >= 0:
-                        return
-                    forced = p
         gj = grid[j]
-        for v in values if forced < 0 else (forced,):
+        fi = forced[i]
+        mark = len(trail)
+        f = fi[j]
+        for v in values if f < 0 else (f,):
             gi[j] = v
             gv = grid[v]
-            for c in values:  # (i, j, c)
+            fv = forced[v]
+            for c in cs:  # (i, j, c): (vc) against i(jc), or the set one forces the other
                 y = gj[c]
-                if y >= 0:
-                    p = gv[c]
-                    if p >= 0:
-                        q = gi[y]
-                        if q >= 0 and p != q:
+                p = gv[c]
+                q = gi[y]
+                if p >= 0:
+                    if q >= 0:
+                        if p != q:
                             break
+                    else:
+                        g = fi[y]
+                        if g < 0:
+                            fi[y] = p
+                            trail.append(fi)
+                            trail.append(y)
+                        elif g != p and g != n:
+                            break
+                elif q >= 0:
+                    g = fv[c]
+                    if g < 0:
+                        fv[c] = q
+                        trail.append(fv)
+                        trail.append(c)
+                    elif g != q and g != n:
+                        break
             else:
-                for row in grid:  # (a, i, j)
-                    u = row[i]
-                    if u >= 0:
-                        p = grid[u][j]
-                        if p >= 0:
-                            q = row[v]
-                            if q >= 0 and p != q:
+                for a in as_:  # (a, i, j): (ai)j against av, or the set one forces the other
+                    ga = grid[a]
+                    u = ga[i]
+                    p = grid[u][j]
+                    q = ga[v]
+                    if p >= 0:
+                        if q >= 0:
+                            if p != q:
                                 break
+                        else:
+                            fa = forced[a]
+                            g = fa[v]
+                            if g < 0:
+                                fa[v] = p
+                                trail.append(fa)
+                                trail.append(v)
+                            elif g != p and g != n:
+                                break
+                    elif q >= 0:
+                        fu = forced[u]
+                        g = fu[j]
+                        if g < 0:
+                            fu[j] = q
+                            trail.append(fu)
+                            trail.append(j)
+                        elif g != q and g != n:
+                            break
                 else:
                     if k == last:  # every cell is set: a leaf
                         yield CayleyTable._unchecked(tuple(map(tuple, grid)))
                     else:
-                        held = at[v]
-                        held.append(cell)
-                        yield from fill(k + 1)
-                        held.pop()
+                        for a, b in at[i]:  # (a, b, j) with ab = i: a(bj) = v
+                            y = grid[b][j]
+                            if y >= 0 and grid[a][y] < 0:
+                                fa = forced[a]
+                                g = fa[y]
+                                if g < 0:
+                                    fa[y] = v
+                                    trail.append(fa)
+                                    trail.append(y)
+                                elif g != v and g != n:
+                                    break
+                        else:
+                            for b, c in at[j]:  # (i, b, c) with bc = j: (ib)c = v
+                                u = gi[b]
+                                if u >= 0 and grid[u][c] < 0:
+                                    fu = forced[u]
+                                    g = fu[c]
+                                    if g < 0:
+                                        fu[c] = v
+                                        trail.append(fu)
+                                        trail.append(c)
+                                    elif g != v and g != n:
+                                        break
+                            else:
+                                held = at[v]
+                                held.append(cell)
+                                yield from fill(k + 1)
+                                held.pop()
+            while len(trail) > mark:
+                y = trail.pop()
+                trail.pop()[y] = -1
         gi[j] = -1
 
     return fill(0)
@@ -151,22 +239,23 @@ def enumerate_semigroups(
 
 
 @functools.cache
-def _relabel_plan(n: int) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+def _relabel_plan(n: int) -> dict[tuple[int, ...], list[tuple[bytes, operator.itemgetter]]]:
     """The relabelings sigma of 0..n-1, keyed by (sigma^-1(0), sigma^-1(1)).
 
-    Each is sigma's images with an index tuple whose entry k is
-    inv[i]*n + inv[j] for the row-major position k = i*n + j, inv being
-    sigma's inverse: the relabeled table holds sigma(x) there, x being the
-    entry at that flat index.  The cache keeps n! * n^2 indices per order
-    used: 25920 at the default cap of 6.
+    Each is a bytes.translate table that sends x to sigma(x), with an
+    itemgetter whose entry k is inv[i]*n + inv[j] for the row-major position
+    k = i*n + j, inv being sigma's inverse: the relabeled table holds
+    sigma(x) there, x being the entry at that flat index.  The cache keeps
+    n! tables of 256 bytes and n! getters of n^2 indices per order used,
+    524 KiB by tracemalloc at the default cap of 6.
     """
     plan: dict[tuple[int, ...], list] = {}
     for images in itertools.permutations(range(n)):
         inv = [0] * n
         for x, y in enumerate(images):
             inv[y] = x
-        src = tuple(inv[i] * n + inv[j] for i in range(n) for j in range(n))
-        plan.setdefault(tuple(inv[:2]), []).append((images, src))
+        src = operator.itemgetter(*(inv[i] * n + inv[j] for i in range(n) for j in range(n)))
+        plan.setdefault(tuple(inv[:2]), []).append((bytes(images).ljust(256, b"\0"), src))
     return plan
 
 
@@ -179,9 +268,10 @@ def canonicalize(table: CayleyTable) -> CayleyTable:
     with 0 when some a is idempotent (b any other id), else with 1 (b = aa),
     and over those pairs its second entry is 0 when some ab = a, else 1 when
     some ab = b.  Only the pairs (a, b) that reach that start are read, all
-    of them when neither product occurs.  No axiom is assumed.  The result
-    is the table itself exactly when it is canonical.  Orders over
-    DEFAULT_MAX_CANON_ORDER are refused.
+    of them when neither product occurs, each relabeling built by one
+    translate and one gather of the flat table and compared as a tuple.  No
+    axiom is assumed.  The result is the table itself exactly when it is
+    canonical.  Orders over DEFAULT_MAX_CANON_ORDER are refused.
     """
     n = table.order
     if n > DEFAULT_MAX_CANON_ORDER:
@@ -200,26 +290,17 @@ def canonicalize(table: CayleyTable) -> CayleyTable:
             or [(a, row[a]) for a, row in enumerate(rows) if row[row[a]] == row[a]]
             or [(a, row[a]) for a, row in enumerate(rows)]
         )
-    flat = [v for row in rows for v in row]
-    best = flat[:]  # the identity relabeling
-    size = n * n
+    encoded = bytes(itertools.chain.from_iterable(rows))
+    best = flat = tuple(encoded)  # the identity relabeling
     plan = _relabel_plan(n)
-    # A candidate is read entry by entry and dropped at its first
-    # difference from best; only a smaller one overwrites best from there.
     for pair in pairs:
         for images, src in plan[pair]:
-            for p in range(size):
-                v = images[flat[src[p]]]
-                b = best[p]
-                if v != b:
-                    if v < b:
-                        best[p] = v
-                        for q in range(p + 1, size):
-                            best[q] = images[flat[src[q]]]
-                    break
-    if best == flat:  # no relabeling reads smaller
+            candidate = src(encoded.translate(images))
+            if candidate < best:
+                best = candidate
+    if best is flat:  # no relabeling reads smaller
         return table
-    return CayleyTable._unchecked(tuple(map(tuple, zip(*[iter(best)] * n))))
+    return CayleyTable._unchecked(tuple(zip(*[iter(best)] * n)))
 
 
 @dataclass(frozen=True)

@@ -174,14 +174,25 @@ def naive_semigroup_rows(n: int) -> set[tuple[tuple[int, ...], ...]]:
 def naive_cell_candidates(rows, i, j) -> list[int]:
     """Values, ascending, that the unset cell (i, j) of a partial table can take.
 
-    Unset cells hold -1.  Each value in turn goes into (i, j) and all n^3
-    triples are scanned; a triple counts only when its four reads are set.
+    Unset cells hold -1; the values are those of the cell's naive_fill_leaves.
+    """
+    return [leaf[i][j] for leaf in naive_fill_leaves(rows, [(i, j)])]
+
+
+def naive_fill_leaves(rows, cells) -> list[tuple[tuple[int, ...], ...]]:
+    """Every way to set the listed unset cells under which no fully set triple fails.
+
+    Each assignment of 0..n-1 to the cells is tried, in lexicographic order
+    of the cells' values in the order listed, and all n^3 triples are
+    scanned; a triple counts only when its four reads are set.  Unset cells
+    that are not listed stay -1.
     """
     n = len(rows)
-    kept = []
-    for v in range(n):
+    leaves = []
+    for vals in itertools.product(range(n), repeat=len(cells)):
         grid = [list(row) for row in rows]
-        grid[i][j] = v
+        for (i, j), v in zip(cells, vals):
+            grid[i][j] = v
         if all(
             grid[grid[a][b]][c] == grid[a][grid[b][c]]
             for a in range(n)
@@ -192,8 +203,8 @@ def naive_cell_candidates(rows, i, j) -> list[int]:
             and grid[grid[a][b]][c] >= 0
             and grid[a][grid[b][c]] >= 0
         ):
-            kept.append(v)
-    return kept
+            leaves.append(tuple(map(tuple, grid)))
+    return leaves
 
 
 def naive_canonical_rows(rows) -> tuple[tuple[int, ...], ...]:

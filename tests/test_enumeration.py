@@ -24,6 +24,7 @@ from support import (
     N3,
     naive_canonical_rows,
     naive_cell_candidates,
+    naive_fill_leaves,
     naive_semigroup_rows,
 )
 
@@ -122,6 +123,48 @@ class TestCandidates:
         assert at == [[], []]
 
 
+def multi_cell_grids(seed: int, count: int):
+    """Seeded consistent partial tables, n = 2..4, with 2-6 unset cells to fill.
+
+    The set cells are chosen as partial_grids chooses them; of the cells
+    left unset, a random 2-6 are listed in a random order, and the rest stay
+    unset through the fill.
+    """
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(2, 4)
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        rng.shuffle(cells)
+        grid = [[-1] * n for _ in range(n)]
+        for i, j in cells[: rng.randrange(len(cells) - 1)]:
+            values = naive_cell_candidates(grid, i, j)
+            if not values:
+                break
+            grid[i][j] = rng.choice(values)
+        unset = [(i, j) for i, j in cells if grid[i][j] < 0]
+        if len(unset) < 2:
+            continue
+        count -= 1
+        yield grid, rng.sample(unset, rng.randint(2, min(6, len(unset))))
+
+
+class TestFill:
+    def test_matches_naive_leaves_on_random_partial_grids(self):
+        # the fill forces cells ahead of the one it sets; a forced value that
+        # drops a leaf, or one placed on a cell it never sets, shows here
+        seen = {"no leaf": 0, "one leaf": 0, "several": 0, "cells left unset": 0}
+        for grid, cells in multi_cell_grids(71, 300):
+            before = [row[:] for row in grid]
+            at = value_index(grid)
+            got = [table.rows for table in _fill(grid, at, cells)]
+            assert got == naive_fill_leaves(before, cells), (before, cells)
+            assert grid == before
+            assert at == value_index(before)
+            seen[("no leaf", "one leaf", "several")[min(len(got), 2)]] += 1
+            seen["cells left unset"] += sum(v < 0 for row in before for v in row) > len(cells)
+        assert min(seen.values()) >= 30, seen
+
+
 class TestEnumerationTask:
     def test_defaults(self):
         task = EnumerationTask(3)
@@ -134,6 +177,11 @@ class TestEnumerationTask:
     def test_rejects_bad_order(self):
         with pytest.raises(MalformedInput):
             EnumerationTask(0)
+
+    @pytest.mark.parametrize("order", [True, False, 2.0, "3", None])
+    def test_rejects_an_order_that_is_not_an_int(self, order):
+        with pytest.raises(MalformedInput, match="^order must be an int, got "):
+            EnumerationTask(order)
 
 
 class TestEnumerateSemigroups:
