@@ -22,6 +22,15 @@ of the flat index each row-major entry comes from, grouped by the ids sent
 to 0 and 1.  Only the groups whose first two entries can be least are
 read, each candidate is built and compared in C as a tuple, and a table
 that no relabeling encodes smaller is returned as it is.
+
+An up-to-iso run keeps one orbits memo for all its leaves.  The labelled
+stream is lexicographic, so each class's canonical form is its first leaf
+and is read as above, recording nothing; the next leaf of the class builds
+all n! relabelings once and records the encodings of the leaves still to
+come against one shared least form, and each of those is popped from the
+memo on its turn.  An orbit is recorded only when it fits under
+ORBIT_MEMO_CAP entries (order 5 peaks at 136 100), so the memo's memory is
+bounded at any order.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .theorem import TheoremReport, verify_theorem
 
 DEFAULT_MAX_ENUM_ORDER = 4
 DEFAULT_MAX_CANON_ORDER = 6
+ORBIT_MEMO_CAP = 1 << 18  # entries canonicalize's orbits memo may hold
 MODES = ("labelled", "up_to_iso")
 
 
@@ -233,8 +243,9 @@ def enumerate_semigroups(
     check_enumeration_order(task, max_order)
     n = task.order
     cells = [(i, j) for i in range(n) for j in range(n)]
+    orbits: dict[bytes, CayleyTable] = {}
     for table in _fill([[-1] * n for _ in range(n)], [[] for _ in range(n)], cells):
-        if task.mode == "labelled" or canonicalize(table) == table:
+        if task.mode == "labelled" or canonicalize(table, orbits=orbits) is table:
             yield table
 
 
@@ -259,7 +270,7 @@ def _relabel_plan(n: int) -> dict[tuple[int, ...], list[tuple[bytes, operator.it
     return plan
 
 
-def canonicalize(table: CayleyTable) -> CayleyTable:
+def canonicalize(table: CayleyTable, *, orbits: dict | None = None) -> CayleyTable:
     """Least relabeling of the table, comparing row-major encodings.
 
     A relabeling sigma with sigma(a) = 0 and sigma(b) = 1 starts its
@@ -272,11 +283,25 @@ def canonicalize(table: CayleyTable) -> CayleyTable:
     translate and one gather of the flat table and compared as a tuple.  No
     axiom is assumed.  The result is the table itself exactly when it is
     canonical.  Orders over DEFAULT_MAX_CANON_ORDER are refused.
+
+    orbits, when given, is a memo shared between calls: it maps the bytes
+    encoding of a table not yet asked about to its least form.  A hit is
+    popped and its least form returned.  A miss on a table that is not
+    canonical builds every relabeling and records the orbit's other
+    encodings, the least one left out, against one shared least form, when
+    they fit under ORBIT_MEMO_CAP entries; a canonical table records
+    nothing.  Each result is the minimum over a whole orbit, so it does not
+    depend on the order of the calls.
     """
     n = table.order
     if n > DEFAULT_MAX_CANON_ORDER:
         raise OrderTooLarge("canonicalization order", n, DEFAULT_MAX_CANON_ORDER)
     rows = table.rows
+    encoded = bytes(itertools.chain.from_iterable(rows))
+    if orbits is not None:
+        least = orbits.pop(encoded, None)
+        if least is not None:
+            return least
     idempotents = [a for a in range(n) if rows[a][a] == a]
     if idempotents:
         pairs = (
@@ -290,7 +315,6 @@ def canonicalize(table: CayleyTable) -> CayleyTable:
             or [(a, row[a]) for a, row in enumerate(rows) if row[row[a]] == row[a]]
             or [(a, row[a]) for a, row in enumerate(rows)]
         )
-    encoded = bytes(itertools.chain.from_iterable(rows))
     best = flat = tuple(encoded)  # the identity relabeling
     plan = _relabel_plan(n)
     for pair in pairs:
@@ -300,7 +324,17 @@ def canonicalize(table: CayleyTable) -> CayleyTable:
                 best = candidate
     if best is flat:  # no relabeling reads smaller
         return table
-    return CayleyTable._unchecked(tuple(zip(*[iter(best)] * n)))
+    least = CayleyTable._unchecked(tuple(zip(*[iter(best)] * n)))
+    if orbits is not None:
+        orbit = {
+            bytes(src(encoded.translate(images))): least
+            for group in plan.values()
+            for images, src in group
+        }
+        del orbit[encoded], orbit[bytes(best)]
+        if len(orbits) + len(orbit) <= ORBIT_MEMO_CAP:
+            orbits.update(orbit)
+    return least
 
 
 @dataclass(frozen=True)

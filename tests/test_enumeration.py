@@ -19,6 +19,7 @@ from finsemi import (
     parse_table,
     relabel_table,
 )
+from finsemi import enumeration
 from finsemi.enumeration import _fill, check_enumeration_order
 from support import (
     N3,
@@ -255,6 +256,19 @@ class TestUpToIso:
         assert len(reps) == 188  # OEIS A027851
         assert [t.rows for t in reps] == sorted(set(naive_canonical_by_order[4]))
 
+    def test_canonicalizes_each_labelled_leaf_once(self, monkeypatch, corpus_by_order):
+        calls = []
+        real = enumeration.canonicalize
+
+        def counted(table, **kwargs):
+            calls.append(table)
+            return real(table, **kwargs)
+
+        monkeypatch.setattr(enumeration, "canonicalize", counted)
+        assert len(list(enumerate_semigroups(EnumerationTask(4, mode="up_to_iso")))) == 188
+        assert len(calls) == 3492  # OEIS A023814
+        assert calls == corpus_by_order[4]
+
 
 def anchor_strata(rows) -> tuple[str, str]:
     """How many idempotents, and which second entry the least first entry allows.
@@ -357,6 +371,37 @@ class TestCanonicalize:
         big = CayleyTable([[0] * 7 for _ in range(7)])
         with pytest.raises(OrderTooLarge):
             canonicalize(big)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_orbits_memo_agrees_with_the_plain_call_on_every_leaf(self, shuffled, corpus_by_order):
+        # each leaf is asked about once, and a hit is popped, so the memo ends empty
+        rng = random.Random(89)
+        for tables in corpus_by_order.values():
+            if shuffled:
+                tables = rng.sample(tables, len(tables))
+            memo: dict = {}
+            for table in tables:
+                plain = canonicalize(table)
+                memoized = canonicalize(table, orbits=memo)
+                assert memoized.rows == plain.rows, table.rows
+                assert (memoized is table) == (plain is table), table.rows
+            assert memo == {}
+
+    def test_orbits_memo_never_exceeds_its_cap(self, monkeypatch):
+        task = EnumerationTask(4, mode="up_to_iso")
+        expected = list(enumerate_semigroups(task))
+        sizes = []
+        real = enumeration.canonicalize
+
+        def measured(table, *, orbits=None):
+            result = real(table, orbits=orbits)
+            sizes.append(len(orbits))
+            return result
+
+        monkeypatch.setattr(enumeration, "ORBIT_MEMO_CAP", 10)
+        monkeypatch.setattr(enumeration, "canonicalize", measured)
+        assert list(enumerate_semigroups(task)) == expected
+        assert 0 < max(sizes) <= 10
 
 
 class TestCorpusVerify:
