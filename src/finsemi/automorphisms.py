@@ -12,13 +12,18 @@ product set and x*x == x, plus one extra colour when the caller gives it
 ids of their own colour, and finds a stabilizer chain (base, strong
 generators, and at each level the length of its base point's orbit),
 reading the orbits off one union-find forest that each generator joins.
-Automorphisms the caller has checked, such as verify_theorem's class
-transpositions, enter as seeds, strong generators known before their
-level searches.  The chain gives |Aut| as the product of the orbit
-lengths; enumerate_automorphisms lists the group by multiplying coset
-representatives regrown one level at a time.  Every search stops after
-max_nodes nodes, and _Chain.elements, the only listing, refuses more than
-DEFAULT_MAX_GROUP_ORDER elements before it builds any.
+Given the psi classes, as verify_theorem and enumerate_automorphisms give
+them, it checks each adjacent class transposition with _is_class_swap and
+joins each that passes into the forest as a pair of ids, so G, the
+product of the symmetric groups on the classes, costs no search and no
+generator of n images.  A map that fails prunes its whole orbit at its
+level, and inside a search an id with no leaf prunes its free class
+mates, so on an inflation the search does what T's table needs, not what
+the class sizes would make it.  The chain gives |Aut| as the product of
+the orbit lengths; enumerate_automorphisms lists the group by multiplying
+coset representatives regrown one level at a time.  Every search stops
+after max_nodes nodes, and _Chain.elements, the only listing, refuses
+more than DEFAULT_MAX_GROUP_ORDER elements before it builds any.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import CayleyTable, _is_arrangement, product_set
+from .core import CayleyTable, _is_arrangement, _structure, product_set
 from .errors import MalformedInput, OrderTooLarge
 
 DEFAULT_MAX_ORDER = 12
@@ -165,7 +170,9 @@ def is_automorphism(table: CayleyTable, p: Permutation) -> bool:
     return automorphism_witness(table, p) is None
 
 
-def _plan(table: CayleyTable, extra: Sequence | None) -> tuple[list[int], list, list[int]]:
+def _plan(
+    rows: Sequence[Sequence[int]], products: frozenset[int], extra: Sequence | None
+) -> tuple[list[int], list, list[int]]:
     """Search order, the candidate cell of each position, and each id's position.
 
     This is the set-up of _automorphism_chain.  Each id is coloured by two
@@ -175,9 +182,8 @@ def _plan(table: CayleyTable, extra: Sequence | None) -> tuple[list[int], list, 
     id order within a cell; each position tries only the ids of its own
     cell.
     """
-    rows, products = table.rows, product_set(table)
     by_colour: dict = {}
-    for x, e in enumerate(extra if extra is not None else [None] * table.order):
+    for x, e in enumerate(extra if extra is not None else [None] * len(rows)):
         by_colour.setdefault((x in products, rows[x][x] == x, e), []).append(x)
     # sorted() is stable, so equal-sized cells keep the order of their least ids
     order, candidates = [], []
@@ -209,21 +215,42 @@ def _buckets(
     return bucket
 
 
+def _is_class_swap(rows, prods: frozenset[int], x: int, y: int) -> bool:
+    """Whether x and y are non-products with equal rows and columns, in O(n).
+
+    Then swapping them changes no product and no product is either, so the
+    transposition (x y) is an automorphism; by (R) and (P) it holds for any
+    two ids of one psi class.
+    """
+    if x in prods or y in prods or rows[x] != rows[y]:
+        return False
+    for row in rows:
+        if row[x] != row[y]:
+            return False
+    return True
+
+
 class _Chain(NamedTuple):
     """A stabilizer chain of Aut: base, strong generators, basic orbit lengths.
 
-    A generator of level k fixes base[0..k-1] and moves base[k].  The
-    generators of level >= k generate the pointwise stabilizer of
-    base[0..k-1], and lengths[k] is the length of the orbit of base[k]
-    under them.  The base holds every id.  No orbit point or coset
-    representative is kept: elements regrows the representatives one
-    level at a time.
+    A strong generator of level k fixes base[0..k-1] and moves base[k].
+    The strong generators are the found generators, image tuples, and the
+    pairs, class transpositions (x y) kept as the two ids they swap, of
+    level min(position of x, position of y).  Those of level >= k generate
+    the pointwise stabilizer of base[0..k-1], and lengths[k] is the length
+    of the orbit of base[k] under them.  The base holds every id.  outside
+    counts the adjacent class transpositions that failed _is_class_swap, so
+    pairs and outside together are every adjacent transposition of the
+    classes searched.  No orbit point or coset representative is kept:
+    elements regrows the representatives one level at a time.
     """
 
     base: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
     lengths: tuple[int, ...]
     nodes: int
+    pairs: tuple[tuple[int, int], ...] = ()
+    outside: int = 0
 
     @property
     def order(self) -> int:
@@ -241,10 +268,16 @@ class _Chain(NamedTuple):
         if self.order > DEFAULT_MAX_GROUP_ORDER:
             raise OrderTooLarge("automorphism group order", self.order, DEFAULT_MAX_GROUP_ORDER)
         base, ident = self.base, tuple(range(len(self.base)))
-        levels = [next(k for k, b in enumerate(base) if g[b] != b) for g in self.generators]
+        # the pairs written out: under the cap, as |G| <= |Aut|, there are at most 16
+        strong = list(self.generators)
+        for x, y in self.pairs:
+            images = list(ident)
+            images[x], images[y] = y, x
+            strong.append(tuple(images))
+        levels = [next(k for k, b in enumerate(base) if g[b] != b) for g in strong]
         group = [ident]
         for k in range(len(base) - 1, -1, -1):
-            fixing = [g for g, level in zip(self.generators, levels) if level >= k]
+            fixing = [g for g, level in zip(strong, levels) if level >= k]
             reps, orbit = {base[k]: ident}, [base[k]]
             for y in orbit:
                 for g in fixing:
@@ -265,7 +298,7 @@ def _automorphism_chain(
     table: CayleyTable,
     extra: Sequence | None = None,
     *,
-    seeds: Sequence[tuple[int, ...]] = (),
+    classes: Sequence[Sequence[int]] = (),
     max_nodes: int = DEFAULT_MAX_SEARCH,
 ) -> _Chain:
     """Stabilizer chain of Aut(table) by an orbit-pruned backtracking search.
@@ -277,25 +310,49 @@ def _automorphism_chain(
     to v and keeps the first it finds as a strong generator: Sims's
     stabilizer chain, built by search and pruned by the orbits of the
     generators already known (compare McKay and Piperno, Practical graph
-    isomorphism II, 2014).  The subtrees tried are disjoint, so the search
-    never visits more nodes than a backtracking search that lists every
-    automorphism.  Each visited node counts against max_nodes, its only cap.
+    isomorphism II, 2014).  A v that has no such automorphism prunes its
+    whole orbit at that level, as each of its points would give one.  The
+    subtrees tried are disjoint, so the search never visits more nodes than
+    a backtracking search that lists every automorphism.  Each visited node
+    counts against max_nodes, its only cap.
 
-    seeds, automorphisms the caller has checked, join the generators of
-    the level of the first base point each moves before that level
-    searches, and prune like found ones.  The n^2 triple buckets are built
-    when a level first searches, so a chain the seeds complete needs none.
-    The orbits are the trees of one union-find forest over the ids, which
-    each generator joins as it becomes one: levels run deepest first and
-    seeds join at their own level, so base[k]'s tree is its basic orbit.
+    classes, the psi classes when given, each ascending and each of one
+    colour of extra, bring G without search.  Each adjacent transposition
+    (x y) of a class that passes _is_class_swap is an automorphism: it
+    joins the orbits of its level as the pair (x, y), never as a generator
+    of n images, and each one that fails is counted in outside.  Inside a
+    search, an id with no leaf below it at a position prunes the free ids
+    of its class there, when every transposition of the class passed: the
+    transposition of the two fixes every image placed so far and carries
+    the leaves below one onto the leaves below the other.  So the search
+    finds only the generators outside G, the same ones, and no more nodes,
+    as one that is handed G's transpositions.  The n^2 triple buckets are
+    built when a level first searches, so a chain the pairs complete needs
+    none.  The orbits are the trees of one union-find forest over the ids,
+    which each pair and generator joins: levels run deepest first and a
+    pair joins at its own level, so base[k]'s tree is its basic orbit.
     """
     n = table.order
     rows = table.rows
-    order, candidates, position = _plan(table, extra)
-    seeded: dict[int, list[tuple[int, ...]]] = {}
-    for g in seeds:
-        level = min([position[x] for x, y in enumerate(g) if x != y])
-        seeded.setdefault(level, []).append(g)
+    prods = product_set(table)
+    order, candidates, position = _plan(rows, prods, extra)
+    # the pairs by level, and per id the index of its class when all of the class's
+    # transpositions passed, else -1
+    paired: dict[int, list[tuple[int, int]]] = {}
+    mate, outside = [-1] * n, 0
+    for c, block in enumerate(classes):
+        if len(block) == 1:
+            continue
+        held = True
+        for x, y in zip(block, block[1:]):
+            if _is_class_swap(rows, prods, x, y):
+                paired.setdefault(min(position[x], position[y]), []).append((x, y))
+            else:
+                outside += 1
+                held = False
+        if held:
+            for x in block:
+                mate[x] = c
     bucket: list = []
     # every id starts fixed; level k frees base[k] before it searches
     img = list(range(n))
@@ -306,18 +363,21 @@ def _automorphism_chain(
         """Map base[k] to v and each later position into its cell; True at a leaf.
 
         pending holds one candidate iterator per position entered, so the
-        depth of the search is not bounded by Python's recursion limit.
+        depth of the search is not bounded by Python's recursion limit, and
+        dead per position the classes whose ids had no leaf there, a set
+        made on the first such id.
         """
         nonlocal nodes
-        pending = [iter((v,))]
+        pending, dead = [iter((v,))], [None]
         nodes += 1  # a node per position entered
         while pending:
             if nodes > max_nodes:
                 raise OrderTooLarge("search nodes", nodes, max_nodes)
             j = k + len(pending) - 1
             x = order[j]
+            seen = dead[-1]
             for v in pending[-1]:
-                if used[v]:
+                if used[v] or seen and mate[v] in seen:
                     continue
                 img[x] = v
                 for a, b, c in bucket[j]:
@@ -329,12 +389,23 @@ def _automorphism_chain(
                         return True
                     nodes += 1
                     pending.append(iter(candidates[j + 1]))
+                    dead.append(None)
                     break
-            else:  # position j is spent: free the choice made at j - 1
+                if mate[v] >= 0:  # no leaf below v, so none below its free class mates
+                    if seen is None:
+                        seen = dead[-1] = set()
+                    seen.add(mate[v])
+            else:  # position j is spent: free the choice made at j - 1, which had no leaf
                 img[x] = -1
                 pending.pop()
+                dead.pop()
                 if pending:
-                    used[img[order[j - 1]]] = False
+                    u = img[order[j - 1]]
+                    used[u] = False
+                    if mate[u] >= 0:
+                        if dead[-1] is None:
+                            dead[-1] = set()
+                        dead[-1].add(mate[u])
         return False
 
     # the union-find forest: size[r] is the size of the tree rooted at r
@@ -345,39 +416,49 @@ def _automorphism_chain(
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    def add(g: tuple[int, ...]):
-        generators.append(g)
-        for x, y in enumerate(g):
-            if x != y:  # the seeds are transpositions, so most ids are fixed
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[ry] = rx
-                    size[rx] += size[ry]
+    def join(x: int, y: int):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+            size[rx] += size[ry]
 
-    generators, lengths = [], []
+    generators, lengths, pairs = [], [], []
     for k in range(n - 1, -1, -1):
         b = order[k]
         img[b] = -1
         used[b] = False
-        for g in seeded.get(k, ()):
-            add(g)
+        for x, y in paired.get(k, ()):
+            pairs.append((x, y))
+            join(x, y)
         cell = candidates[k]
         if len(cell) == 1:  # every automorphism keeps the colour, so it fixes b
             lengths.append(1)
             continue
+        failed: set[int] = set()  # roots of the trees with no image of b
         # base[0..k-1] are fixed, so the ids after b in its cell are all free
         for v in cell[cell.index(b) + 1 :]:
-            if find(v) == find(b):
+            root = find(v)
+            if root == find(b) or root in failed:
                 continue
             if not bucket:
                 bucket = _buckets(rows, position)
             if first_leaf(k, v):
-                add(tuple(img))
+                g = tuple(img)
+                generators.append(g)
+                for x, y in enumerate(g):
+                    if x != y:
+                        join(x, y)
                 for x in order[k:]:
                     used[img[x]] = False
                     img[x] = -1
+                if failed:
+                    failed = {find(r) for r in failed}
+            else:
+                failed.add(root)
         lengths.append(size[find(b)])
-    return _Chain(tuple(order), tuple(generators), tuple(reversed(lengths)), nodes)
+    return _Chain(
+        tuple(order), tuple(generators), tuple(reversed(lengths)), nodes, tuple(pairs), outside
+    )
 
 
 def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:
@@ -386,7 +467,8 @@ def enumerate_automorphisms(table: CayleyTable, *, max_order: int = DEFAULT_MAX_
     OrderTooLarge past max_order ids, DEFAULT_MAX_SEARCH nodes or DEFAULT_MAX_GROUP_ORDER elements.
     """
     check_table_order(table.order, max_order)
-    return PermGroup(table.order, _automorphism_chain(table).elements())
+    chain = _automorphism_chain(table, classes=_structure(table)[2].blocks)
+    return PermGroup(table.order, chain.elements())
 
 
 @dataclass(frozen=True)

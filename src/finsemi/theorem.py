@@ -12,9 +12,12 @@ non-products), normality is "every generator permutes the classes",
 each generator's class action tau is in H when it keeps T's product,
 pi = phi * inverse(tau_bar) fixes every class by construction, and the
 uniqueness of pi * tau_bar follows by counting |Aut| = |G| * |H|.  The
-class transpositions seed the Aut search, which then searches only for
-the generators outside G.  Nothing is listed, so the work grows with the
-search, not with |Aut|, and |G| has no cap.  The table's one structure
+Aut search takes the psi classes: it checks the class transpositions
+itself, keeps those that pass as pairs and counts those that fail, and
+searches only for the generators outside G, pruning by the class mates
+of every map that fails, so its work follows T's table, not the class
+sizes.  Nothing is listed, so the work grows with the search, not with
+|Aut|, and |G| has no cap.  The table's one structure
 pass (core._structure) gives the products, h and psi, all reused; the
 size of each id's h class colours the Aut search, as an automorphism maps
 h classes onto h classes.  The generators stay image tuples throughout:
@@ -221,21 +224,6 @@ def _class_action(
     return tau
 
 
-def _is_class_swap(rows, prods: frozenset[int], x: int, y: int) -> bool:
-    """Whether x and y are non-products with equal rows and columns, in O(n).
-
-    Then swapping them changes no product and no product is either, so the
-    transposition (x y) is an automorphism; by (R) and (P) it holds for any
-    two ids of one psi class.
-    """
-    if x in prods or y in prods or rows[x] != rows[y]:
-        return False
-    for row in rows:
-        if row[x] != row[y]:
-            return False
-    return True
-
-
 def _h_bar(generators: Sequence[Sequence[int]], scheme: ExtensionScheme) -> list[tuple[int, ...]]:
     """The lifts of the H generators, sorted and without repeats, as embed_h lists them."""
     return sorted({_lift(g, scheme) for g in generators})
@@ -327,13 +315,16 @@ def verify_theorem(
     every automorphism keeps, and H on T with the psi-class sizes as one.
     Every check runs on generators, as image tuples.  G, a predicate (fix
     every psi class), lies in Aut when each transposition of adjacent ids
-    in a class passes _is_class_swap, an O(n) check on the table; each
-    one that passes seeds the Aut search, which then finds only the
-    generators outside G, and each one that fails is counted in the
-    g_normal witness.  G is normal when every strong generator permutes
-    the classes.  H-bar lies in Aut when each lifted H generator is an
-    automorphism, and meets G trivially when each is the lift of its own
-    class action.  Each strong generator phi splits as pi * tau_bar, with
+    in a class passes _is_class_swap, an O(n) check on the table that the
+    Aut search runs, given the classes: each one that passes is a pair of
+    the chain, a strong generator of n - 2 fixed points that acts on the
+    classes as the identity and is read no further, the search then finds
+    only the generators outside G, and each one that fails is counted in
+    the chain's outside and in the g_normal witness, which counts the
+    pairs among the generators.  G is normal when every strong generator
+    permutes the classes.  H-bar lies in Aut when each lifted H generator
+    is an automorphism, and meets G trivially when each is the lift of its
+    own class action.  Each strong generator phi splits as pi * tau_bar, with
     tau its class action, which is in H when it is the identity or keeps
     the product of T's table (it keeps the class sizes, as phi does), and
     pi fixing every class by construction, as tau_bar moves the classes as
@@ -349,22 +340,14 @@ def verify_theorem(
     n = table.order
     budget = DEFAULT_MAX_SEARCH
     check_table_order(n, max_order)  # first, so that the cap refuses before any other work
-    prods, _, psi = _structure(table)
+    psi = _structure(table)[2]
     t = choose_transversal(psi, policy, seed)  # refuses a bad policy before any search
     h_rel = compute_h(table)
-    # The adjacent transpositions of each class generate G; each one that passes
-    # _is_class_swap is an automorphism and seeds the Aut search.
-    rows, seeds = table.rows, []
-    swaps = [(x, y) for b in psi.blocks if len(b) > 1 for x, y in zip(b, b[1:])]
-    for x, y in swaps:
-        if _is_class_swap(rows, prods, x, y):
-            images = list(range(n))
-            images[x], images[y] = y, x
-            seeds.append(tuple(images))
-    outside = len(swaps) - len(seeds)
-    # every automorphism maps h classes onto h classes, so it keeps each id's class size
+    # every automorphism maps h classes onto h classes, so it keeps each id's class size;
+    # a psi class lies in one h class, so its ids share that colour
     twins = [len(h_rel.blocks[b]) for b in h_rel.block_of]
-    aut = _automorphism_chain(table, twins, seeds=seeds, max_nodes=budget)
+    # the adjacent transpositions of the classes, which generate G, are checked by the search
+    aut = _automorphism_chain(table, twins, classes=psi.blocks, max_nodes=budget)
     predicted_g = predicted_class_group_order(psi)
     reps, pos = t.representatives, _class_positions(psi, t.representatives)
 
@@ -384,6 +367,7 @@ def verify_theorem(
         h, sub = aut, table  # T = S: H is Aut itself, and T's table is the table
     else:
         # T holds every product by (P), a singleton class, so pos renumbers T in order
+        rows = table.rows
         sub = CayleyTable._unchecked(tuple([tuple([pos[rows[a][b]] for b in reps]) for a in reps]))
         class_sizes = tuple(map(len, scheme.listings))
         try:
@@ -399,14 +383,14 @@ def verify_theorem(
 
     # phi G phi^-1 is the product of the Sym(phi B), so phi normalizes G
     # exactly when it permutes the classes; the adjacent transpositions
-    # generate G.
+    # generate G.  A pair, a class transposition, fixes every class.
     taus = [_class_action(phi, pos, reps) for phi in aut.generators]
     splits = taus.count(None)
-    g_is_normal = splits == 0 and outside == 0
+    g_is_normal = splits == 0 and aut.outside == 0
     if not g_is_normal:
         witnesses["g_normal"] = (
-            f"{splits} of {len(aut.generators)} generators split a class, "
-            f"{outside} of {len(swaps)} class transpositions outside aut"
+            f"{splits} of {len(aut.generators) + len(aut.pairs)} generators split a class, "
+            f"{aut.outside} of {len(aut.pairs) + aut.outside} class transpositions outside aut"
         )
 
     # Lifting is a homomorphism and the class action undoes it on every
@@ -437,7 +421,7 @@ def verify_theorem(
             witnesses.setdefault("factorization", f"h-bar generator {tb} not in aut")
     # tau is in H, the size-preserving automorphisms of T, when it keeps T's product:
     # tau permutes the classes as phi does, so it carries each class onto one of the
-    # same size.  Every class transposition acts as the identity, which needs no check.
+    # same size.  The pairs, the class transpositions, act as the identity and are not read.
     # pi = phi * inverse(tau_bar) fixes every class by construction: phi maps the class
     # at position k onto the class at tau[k], and so does tau_bar.
     no_move = tuple(range(len(reps)))

@@ -122,17 +122,27 @@ def naive_automorphism_images(rows) -> list[tuple[int, ...]]:
     return sorted(kept)
 
 
+def strong_generators(chain) -> list[tuple[int, ...]]:
+    """A chain's generators, then its pairs written out as transpositions."""
+    swaps = []
+    for x, y in chain.pairs:
+        images = list(range(len(chain.base)))
+        images[x], images[y] = y, x
+        swaps.append(tuple(images))
+    return [*chain.generators, *swaps]
+
+
 def naive_sift(chain, images) -> bool:
     """Whether images lies in the group of a stabilizer chain, read off its base and generators.
 
     Level by level, the coset representatives of base[k] are regrown breadth
-    first from the identity under the generators that fix base[:k], and
-    images is divided by the one that sends base[k] where images does.
+    first from the identity under the strong generators that fix base[:k],
+    and images is divided by the one that sends base[k] where images does.
     """
     n, base = len(images), chain.base
     g = list(images)
     for k, b in enumerate(base):
-        fixing = [s for s in chain.generators if all(s[a] == a for a in base[:k])]
+        fixing = [s for s in strong_generators(chain) if all(s[a] == a for a in base[:k])]
         reps = {b: tuple(range(n))}
         reached = [b]
         for y in reached:
@@ -150,15 +160,74 @@ def naive_sift(chain, images) -> bool:
 
 
 def naive_orbit(chain, k) -> list[int]:
-    """The orbit of base[k] under the chain's generators that fix base[:k], breadth first."""
+    """The orbit of base[k] under the chain's strong generators that fix base[:k], breadth first."""
     base = chain.base
-    fixing = [s for s in chain.generators if all(s[a] == a for a in base[:k])]
+    fixing = [s for s in strong_generators(chain) if all(s[a] == a for a in base[:k])]
     orbit = [base[k]]
     for y in orbit:
         for s in fixing:
             if s[y] not in orbit:
                 orbit.append(s[y])
     return orbit
+
+
+def reference_chain(rows, order, cells, seeds=()):
+    """(base, generators, orbit lengths, nodes) of the plain orbit-pruned chain search.
+
+    order is the search order and cells[k] the ids that position k may
+    take.  Level k, deepest first, adds the seeds whose first moved point
+    sits at k, then, for each id v after base[k] in its cell and outside the
+    orbit of base[k] under the generators so far, looks for a map that
+    fixes base[:k], sends base[k] to v and keeps every product whose three
+    ids are placed; the first it finds is a generator.  No failed search
+    prunes another.  Nodes count as the library counts them, a node per
+    position entered.
+    """
+    n = len(order)
+    position = {x: k for k, x in enumerate(order)}
+    nodes = 0
+
+    def consistent(img):
+        return all(
+            img[rows[a][b]] == rows[img[a]][img[b]] for a in img for b in img if rows[a][b] in img
+        )
+
+    def search(img, j, choices):
+        nonlocal nodes
+        for v in choices:
+            if v in img.values():
+                continue
+            img[order[j]] = v
+            if consistent(img):
+                if j + 1 == n:
+                    return tuple(img[x] for x in range(n))
+                nodes += 1
+                found = search(img, j + 1, cells[j + 1])
+                if found:
+                    return found
+            del img[order[j]]
+        return None
+
+    def orbit(b, generators):
+        reached = [b]
+        for y in reached:
+            for g in generators:
+                if g[y] not in reached:
+                    reached.append(g[y])
+        return reached
+
+    generators, lengths = [], []
+    for k in range(n - 1, -1, -1):
+        b = order[k]
+        generators += [g for g in seeds if min(position[x] for x in range(n) if g[x] != x) == k]
+        for v in cells[k][cells[k].index(b) + 1 :]:
+            if v not in orbit(b, generators):
+                nodes += 1
+                found = search({x: x for x in order[:k]}, k, [v])
+                if found:
+                    generators.append(found)
+        lengths.append(len(orbit(b, generators)))
+    return tuple(order), generators, tuple(reversed(lengths)), nodes
 
 
 def naive_semigroup_rows(n: int) -> set[tuple[tuple[int, ...], ...]]:

@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 
 from finsemi import (
     CayleyTable,
+    FiberSizeSpec,
     MalformedInput,
     OrderTooLarge,
     PermGroup,
     Permutation,
     automorphism_witness,
+    build_inflation,
     compose,
+    compute_psi,
     enumerate_automorphisms,
     identity,
     inverse,
@@ -252,6 +255,16 @@ def left_zero(n: int) -> CayleyTable:
     return CayleyTable([[x] * n for x in range(n)])
 
 
+def inflated_semilattice(n: int) -> tuple[CayleyTable, int]:
+    """The semilattice {0, 1, 2} (1 * 2 = 0) inflated to sizes 1, a, n - 1 - a, a = (n - 1) // 2,
+    and its |Aut|: the two classes of non-products, and their swap when a = n - 1 - a."""
+    a = (n - 1) // 2
+    base = CayleyTable([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
+    table, _ = build_inflation(FiberSizeSpec(base, (1, a, n - 1 - a)), max_order=n)
+    swap = 2 if 2 * a == n - 1 else 1
+    return table, math.factorial(a - 1) * math.factorial(n - 2 - a) * swap
+
+
 class TestAutomorphismChain:
     def test_order_matches_the_listing_on_every_table_of_order_at_most_four(
         self, corpus_by_order
@@ -345,9 +358,30 @@ class TestAutomorphismChain:
         assert chain.lengths == tuple(len(naive_orbit(chain, k)) for k in range(p))
 
     def test_node_counts_on_the_fixtures(self):
-        # a node per position entered, as the node budget counts them
+        # a node per position entered, as the node budget counts them; on S6 the
+        # failed search for 2 -> 3 at level 2 prunes 5, in the orbit of 3 under (3 5)
         nodes = {name: _automorphism_chain(table).nodes for name, table in FIXTURES.items()}
-        assert nodes == {"N3": 2, "N4": 5, "L2": 2, "S6": 17, "IL2": 5}
+        assert nodes == {"N3": 2, "N4": 5, "L2": 2, "S6": 16, "IL2": 5}
+
+    @pytest.mark.parametrize("n,nodes", [(12, 19), (16, 25), (40, 61), (1001, 1501)])
+    def test_inflated_semilattice_searches_what_its_base_needs(self, n, nodes):
+        # without the psi classes the chain took 7950 nodes at order 12 and 9 867 030
+        # at order 16: it found G one transposition at a time and tried every class mate
+        # of a failed map
+        table, order = inflated_semilattice(n)
+        chain = _automorphism_chain(table, classes=compute_psi(table).blocks)
+        assert (chain.order, chain.nodes, chain.outside) == (order, nodes, 0)
+        assert len(chain.pairs) == n - 5  # classes of a - 1 and n - 2 - a non-products
+
+    @pytest.mark.parametrize("n", [12, 16, 40])
+    def test_aut_on_an_inflated_semilattice_lists_or_refuses_by_the_listing_cap(self, n):
+        table, order = inflated_semilattice(n)
+        if order <= 10**5:
+            assert len(enumerate_automorphisms(table, max_order=n)) == order
+            return
+        with pytest.raises(OrderTooLarge) as info:
+            enumerate_automorphisms(table, max_order=n)
+        assert (info.value.what, info.value.requested) == ("automorphism group order", order)
 
     def test_order_bound(self):
         # the chain has only its node budget; a table is refused where it enters

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -152,6 +153,19 @@ class TestAut:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
+            f"finsemi: automorphism group order {order} exceeds the configured limit 100000\n"
+        )
+
+    def test_inflated_semilattice_is_refused_by_the_listing_cap_after_a_short_search(
+        self, tmp_path, capsys
+    ):
+        # the semilattice {0, 1, 2} (1 * 2 = 0) inflated to sizes 1, 19, 20; searched without
+        # G's transpositions, its chain took minutes
+        b = [0, 1, 2] + [1] * 18 + [2] * 19
+        text = "40\n" + "".join(" ".join(str(x if x == y else 0) for y in b) + "\n" for x in b)
+        assert main(["aut", write(tmp_path, "sl40", text), "--max-order", "40"]) == 3
+        order = math.factorial(18) * math.factorial(19)
+        assert capsys.readouterr().err == (
             f"finsemi: automorphism group order {order} exceeds the configured limit 100000\n"
         )
 

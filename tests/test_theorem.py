@@ -52,7 +52,7 @@ from finsemi import (
     restrict_to_subsemigroup,
     verify_theorem,
 )
-from finsemi import core, theorem
+from finsemi import automorphisms, core, theorem
 from finsemi.inflation import POLICIES, InflationWitness
 from support import (
     FIXTURES,
@@ -68,6 +68,8 @@ from support import (
     naive_sift,
     non_products_first,
     random_magma_inflation,
+    reference_chain,
+    strong_generators,
 )
 
 TWO_NULL = CayleyTable([[0, 0], [0, 0]])
@@ -480,8 +482,8 @@ class TestVerifyTheorem:
         sub, old_ids = restrict_to_subsemigroup(S6, t.representatives)
         sizes = tuple(len(psi.block_containing(x)) for x in old_ids)
         search = theorem._automorphism_chain
-        class_swaps = [S6_CLASS_SWAP.images, (0, 1, 2, 5, 4, 3)]  # (2 4) and (3 5) seed Aut's
-        nodes = search(S6, seeds=class_swaps).nodes + search(sub, sizes).nodes
+        # (2 4) and (3 5) join Aut's search as pairs
+        nodes = search(S6, classes=psi.blocks).nodes + search(sub, sizes).nodes
         monkeypatch.setattr(theorem, "DEFAULT_MAX_SEARCH", nodes)
         assert verify_theorem(S6).all_flags
         monkeypatch.setattr(theorem, "DEFAULT_MAX_SEARCH", nodes - 1)
@@ -677,7 +679,7 @@ class TestVerifyTheorem:
             for x, y in itertools.combinations(range(n), 2):
                 twins = rows[x] == rows[y] and all(row[x] == row[y] for row in rows)
                 expected = twins and x not in prods and y not in prods
-                assert theorem._is_class_swap(rows, prods, x, y) == expected, (rows, x, y)
+                assert automorphisms._is_class_swap(rows, prods, x, y) == expected, (rows, x, y)
                 swaps += expected
         assert swaps > 500
 
@@ -731,8 +733,8 @@ def _on_s6(edit, *, h=False):
 
 
 def _refusing(x, y):
-    """_is_class_swap with the transposition (x y) refused, so it neither seeds nor counts in G."""
-    check = theorem._is_class_swap
+    """_is_class_swap with the transposition (x y) refused, so it neither pairs nor counts in G."""
+    check = automorphisms._is_class_swap
     return lambda rows, prods, a, b: (a, b) != (x, y) and check(rows, prods, a, b)
 
 
@@ -760,8 +762,9 @@ class TestVerifyTheoremFlagsFail:
 
     The faults go in at the stabilizer chains that verify_theorem reads, at
     the lifted H generators, and at the check of the class transpositions
-    that seed the Aut search: a chain missing a class transposition is
-    first missing its seed, or the search would put it back.
+    that the Aut search joins as pairs: a chain missing a class
+    transposition is first missing its pair, or the search would find it
+    as a generator.
     """
 
     def check(self, expected_flags, expected_keys):
@@ -791,7 +794,7 @@ class TestVerifyTheoremFlagsFail:
         assert witnesses["identity"] == "aut 8 != g 4 * h 1"
 
     def test_aut_missing_a_class_fixing_element(self, monkeypatch):
-        monkeypatch.setattr(theorem, "_is_class_swap", _refusing(2, 4))
+        monkeypatch.setattr(automorphisms, "_is_class_swap", _refusing(2, 4))
         monkeypatch.setattr(theorem, "_automorphism_chain", _on_s6(_without_class_swap))
         witnesses = self.check(
             (False, False, True, False), ("factorization", "g_normal", "identity")
@@ -885,7 +888,7 @@ class TestVerifyTheoremFlagsFail:
         assert verify_theorem(S6).to_text().endswith(f"witnesses: 1\nwitness {key}: {text}\n")
 
     def test_class_splitting_map_in_place_of_a_class_fixing_one(self, monkeypatch):
-        monkeypatch.setattr(theorem, "_is_class_swap", _refusing(2, 4))
+        monkeypatch.setattr(automorphisms, "_is_class_swap", _refusing(2, 4))
         monkeypatch.setattr(theorem, "_automorphism_chain", _on_s6(_split_in_place_of_class_swap))
         witnesses = self.check((True, False, True, False), ("factorization", "g_normal"))
         assert witnesses["factorization"] == (
@@ -909,7 +912,7 @@ class TestVerifyTheoremFlagsFail:
                 return _regrow(chain, [swap])
             return _replaced(chain, (0, 1, 2, 5, 4, 3), (0, 1, 3, 2, 5, 4))
 
-        monkeypatch.setattr(theorem, "_is_class_swap", _refusing(3, 5))
+        monkeypatch.setattr(automorphisms, "_is_class_swap", _refusing(3, 5))
         monkeypatch.setattr(theorem, "_automorphism_chain", faulty)
         witnesses = self.check((True, False, True, False), ("factorization", "g_normal"))
         assert witnesses["factorization"] == "h-bar generator (0, 1, 3, 2, 5, 4) not in aut"
@@ -997,25 +1000,45 @@ class TestTwinColouredAutSearch:
         assert twins > 250  # most tables get more than one colour from the sizes
 
 
-def _assert_seeded_chain_is_the_unseeded_chain(table):
-    """The class transpositions pass the O(n) check exactly when they are automorphisms,
-    and seeding the Aut search with them, as verify_theorem does, finds the same group."""
+def _assert_chain_follows_the_reference(table):
+    """The search handed the psi classes, as verify_theorem and aut run it, finds the chain
+    that the plain search handed G's transpositions finds: the same base, orbit lengths and
+    generators outside G, with no more nodes; so does H's search on T, which gets no classes.
+
+    The class transpositions pass the O(n) check exactly when they are automorphisms; those
+    that pass are the pairs and those that fail are counted in outside.  Returns the nodes
+    the pruning saved over the three searches.
+    """
     n, rows, prods = table.order, table.rows, product_set(table)
-    seeds = []
-    for block in compute_psi(table).blocks:
+    psi = compute_psi(table)
+    seeds, outside, saved = [], 0, 0
+    for block in psi.blocks:
         for x, y in zip(block, block[1:]):
             images = list(range(n))
             images[x], images[y] = y, x
-            passes = theorem._is_class_swap(rows, prods, x, y)
+            passes = automorphisms._is_class_swap(rows, prods, x, y)
             assert passes == is_automorphism(table, Permutation(images)), (table, x, y)
-            seeds.append(tuple(images))
-    twins = _twin_sizes(table)
-    seeded = theorem._automorphism_chain(table, twins, seeds=seeds)
-    unseeded = theorem._automorphism_chain(table, twins)
-    assert seeded.order == unseeded.order, table
-    assert seeded.nodes <= unseeded.nodes, table
-    assert all(naive_sift(unseeded, g) for g in seeded.generators), table
-    assert all(naive_sift(seeded, g) for g in unseeded.generators), table
+            if passes:
+                seeds.append(tuple(images))
+            outside += not passes
+    for extra in (None, _twin_sizes(table)):
+        chain = automorphisms._automorphism_chain(table, extra, classes=psi.blocks)
+        order, cells, _ = automorphisms._plan(rows, prods, extra)
+        base, generators, lengths, nodes = reference_chain(rows, order, cells, seeds)
+        assert (chain.base, chain.lengths, chain.outside) == (base, lengths, outside), table
+        assert list(chain.generators) == [g for g in generators if g not in seeds], table
+        assert sorted(strong_generators(chain)[len(chain.generators) :]) == sorted(seeds), table
+        assert chain.nodes <= nodes, table
+        saved += nodes - chain.nodes
+    t = choose_transversal(psi, "least")
+    sub, old_ids = restrict_to_subsemigroup(table, t.representatives)
+    sizes = tuple(len(psi.block_containing(x)) for x in old_ids)
+    chain = automorphisms._automorphism_chain(sub, sizes)
+    order, cells, _ = automorphisms._plan(sub.rows, product_set(sub), sizes)
+    base, generators, lengths, nodes = reference_chain(sub.rows, order, cells)
+    assert (chain.base, chain.generators, chain.lengths) == (base, tuple(generators), lengths)
+    assert chain.pairs == () and chain.nodes <= nodes, table
+    return saved + nodes - chain.nodes
 
 
 SEMILATTICE = CayleyTable([[0, 0, 0], [0, 1, 0], [0, 0, 2]])  # 1 * 2 = 0
@@ -1034,23 +1057,39 @@ def _recorded_chains(monkeypatch):
 
 
 class TestSeededAutSearch:
-    """Seeds are strong generators found without search, so the chain stays exact."""
+    """G's transpositions are strong generators found without search, so the chain stays
+    exact, and a failed search prunes only maps that have no automorphism either."""
 
     def test_every_semigroup_of_order_at_most_four(self, corpus_by_order):
+        saved = 0
         for tables in corpus_by_order.values():
             for table in tables:
-                _assert_seeded_chain_is_the_unseeded_chain(table)
+                saved += _assert_chain_follows_the_reference(table)
+        assert saved > 1000  # the pruning cuts nodes, not just never adds them
 
     def test_every_magma_of_order_three(self):
+        saved = 0
         for vals in itertools.product(range(3), repeat=9):
-            _assert_seeded_chain_is_the_unseeded_chain(
-                CayleyTable([vals[0:3], vals[3:6], vals[6:9]])
-            )
+            table = CayleyTable([vals[0:3], vals[3:6], vals[6:9]])
+            saved += _assert_chain_follows_the_reference(table)
+        assert saved > 100
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_relabelled_inflations_up_to_order_twelve(self, data):
-        _assert_seeded_chain_is_the_unseeded_chain(_inflation(data, 12))
+        _assert_chain_follows_the_reference(_inflation(data, 12))
+
+    def test_a_class_whose_transpositions_fail_the_check_gives_the_search_nothing(
+        self, monkeypatch
+    ):
+        # no pair and no pruning by class mates: the chain is the one searched without classes
+        monkeypatch.setattr(automorphisms, "_is_class_swap", lambda *args: False)
+        inflated, _ = build_inflation(FiberSizeSpec(SEMILATTICE, (1, 5, 6)))
+        for table in (S6, N4, inflated):
+            blocks = compute_psi(table).blocks
+            chain = automorphisms._automorphism_chain(table, classes=blocks)
+            assert chain._replace(outside=0) == automorphisms._automorphism_chain(table)
+            assert chain.outside == sum(len(b) - 1 for b in blocks) > 0
 
     def test_semilattice_inflated_to_order_100_needs_no_aut_search(self, monkeypatch):
         table, _ = build_inflation(FiberSizeSpec(SEMILATTICE, (1, 49, 50)), max_order=100)
@@ -1083,7 +1122,7 @@ class TestSeededAutSearch:
         report = verify_theorem(table, max_order=1001)
         assert report.all_flags and report.witnesses == ()
         assert report.h_order == 2 and report.aut_order == 2 * math.factorial(499) ** 2
-        assert chains[0].nodes == 250_001
+        assert chains[0].nodes == 1_499
 
 
 UP_TO_ISO = {n: list(enumerate_semigroups(EnumerationTask(n, "up_to_iso"))) for n in (1, 2, 3, 4)}
