@@ -31,7 +31,14 @@ the README's proof names the step behind each flag and what it uses.
 A reduced table, every psi class a singleton, has T = S, G = 1 and
 Aut = H-bar = H, and then there is one search: restricting to every id
 renumbers nothing and the class sizes are all 1, a colour every id shares,
-so H is Aut itself and the Aut chain is a stabilizer chain of it.  The
+so H is Aut itself and the Aut chain is a stabilizer chain of it.  With
+theta the identity and every listing a singleton, each generator is its
+own class action and the lift of it, so the identity (|G| = 1), normality
+(no class splits) and the trivial intersection hold by construction, and
+no listing, lift or class action is built.  What is left is still checked:
+the structure checks run on the identity retraction, and each Aut
+generator is checked once as an automorphism, in sorted order, as the
+H-bar generator it is; tau = phi, so that one check also puts tau in H.  The
 pipeline's own partitions, transversal, retraction, listings and T's table
 are valid by construction and skip the public constructors' checks: the
 retraction and the listings are read off each id's class position, so the
@@ -329,8 +336,10 @@ def verify_theorem(
     the product of T's table (it keeps the class sizes, as phi does), and
     pi fixing every class by construction, as tau_bar moves the classes as
     phi does.  Uniqueness then follows from |Aut| = |G| * |H|.  When T is
-    every id H is Aut itself (see the module docstring), so the Aut chain
-    serves as H's and T's table is the table; otherwise T's table is read
+    every id H is Aut itself and theta the identity (see the module
+    docstring): the Aut chain serves as H's, the three flags that read
+    class actions and lifts hold by construction, and each Aut generator
+    is checked once, as an H-bar generator; otherwise T's table is read
     off the transversal positions, with no closure check, as (P) puts
     every product in T.  The module's DEFAULT_MAX_SEARCH, read at call
     time, bounds the nodes both searches visit together.  The table-order
@@ -349,23 +358,19 @@ def verify_theorem(
     # the adjacent transpositions of the classes, which generate G, are checked by the search
     aut = _automorphism_chain(table, twins, classes=psi.blocks, max_nodes=budget)
     predicted_g = predicted_class_group_order(psi)
-    reps, pos = t.representatives, _class_positions(psi, t.representatives)
+    reps = t.representatives
 
-    witnesses: dict[str, str] = {}
-    # t holds one id per class by construction, so the retraction and the
-    # listings are read off reps and pos, with no _rep_of_block scan
-    r = RetractionMap._unchecked(tuple([reps[k] for k in pos]), t)
-    bad_axiom = verify_inflation(table, r)
-    if bad_axiom is not None:
-        witnesses["inflation"] = f"{bad_axiom.axiom} fails at {bad_axiom.elements}"
-    bad_pair = verify_kernel_in_h(r, h_rel)
-    if bad_pair is not None:
-        witnesses["kernel"] = f"theta identifies the h-unrelated pair {bad_pair}"
-
-    scheme = _scheme(psi, reps)
     if len(reps) == n:
-        h, sub = aut, table  # T = S: H is Aut itself, and T's table is the table
+        # reduced: reps is 0..n-1, theta the identity and H-bar the Aut generators, each
+        # its own class action and lift, so no class action is read (see the module docstring)
+        r = RetractionMap._unchecked(reps, t)
+        h, h_bar, taus, not_lifts = aut, sorted(set(aut.generators)), [], 0
     else:
+        pos = _class_positions(psi, reps)
+        # t holds one id per class by construction, so the retraction and the
+        # listings are read off reps and pos, with no _rep_of_block scan
+        r = RetractionMap._unchecked(tuple([reps[k] for k in pos]), t)
+        scheme = _scheme(psi, reps)
         # T holds every product by (P), a singleton class, so pos renumbers T in order
         rows = table.rows
         sub = CayleyTable._unchecked(tuple([tuple([pos[rows[a][b]] for b in reps]) for a in reps]))
@@ -374,7 +379,24 @@ def verify_theorem(
             h = _automorphism_chain(sub, class_sizes, max_nodes=budget - aut.nodes)
         except OrderTooLarge as exc:  # the budget is shared, so report it whole
             raise OrderTooLarge(exc.what, aut.nodes + exc.requested, budget) from None
-    h_bar = _h_bar(h.generators, scheme)
+        h_bar = _h_bar(h.generators, scheme)
+        taus = [_class_action(phi, pos, reps) for phi in aut.generators]
+        # Lifting is a homomorphism and the class action undoes it on every
+        # generator, so it is one-to-one on H-bar and H-bar meets G in 1 only.
+        # A bijection that permutes the classes keeps their sizes, so every
+        # class action extends.
+        not_lifts = 0
+        for tb in h_bar:
+            tau = _class_action(tb, pos, reps)
+            not_lifts += tau is None or _lift(tau, scheme) != tb
+
+    witnesses: dict[str, str] = {}
+    bad_axiom = verify_inflation(table, r)
+    if bad_axiom is not None:
+        witnesses["inflation"] = f"{bad_axiom.axiom} fails at {bad_axiom.elements}"
+    bad_pair = verify_kernel_in_h(r, h_rel)
+    if bad_pair is not None:
+        witnesses["kernel"] = f"theta identifies the h-unrelated pair {bad_pair}"
 
     aut_order, h_order = aut.order, h.order
     identity_holds = aut_order == predicted_g * h_order
@@ -384,7 +406,6 @@ def verify_theorem(
     # phi G phi^-1 is the product of the Sym(phi B), so phi normalizes G
     # exactly when it permutes the classes; the adjacent transpositions
     # generate G.  A pair, a class transposition, fixes every class.
-    taus = [_class_action(phi, pos, reps) for phi in aut.generators]
     splits = taus.count(None)
     g_is_normal = splits == 0 and aut.outside == 0
     if not g_is_normal:
@@ -393,14 +414,6 @@ def verify_theorem(
             f"{aut.outside} of {len(aut.pairs) + aut.outside} class transpositions outside aut"
         )
 
-    # Lifting is a homomorphism and the class action undoes it on every
-    # generator, so it is one-to-one on H-bar and H-bar meets G in 1 only.
-    # A bijection that permutes the classes keeps their sizes, so every
-    # class action extends.
-    not_lifts = 0
-    for tb in h_bar:
-        tau = _class_action(tb, pos, reps)
-        not_lifts += tau is None or _lift(tau, scheme) != tb
     intersection_trivial = not_lifts == 0
     if not intersection_trivial:
         witnesses["intersection"] = (
@@ -423,7 +436,7 @@ def verify_theorem(
     # tau permutes the classes as phi does, so it carries each class onto one of the
     # same size.  The pairs, the class transpositions, act as the identity and are not read.
     # pi = phi * inverse(tau_bar) fixes every class by construction: phi maps the class
-    # at position k onto the class at tau[k], and so does tau_bar.
+    # at position k onto the class at tau[k], and so does tau_bar.  A reduced table has no taus.
     no_move = tuple(range(len(reps)))
     for phi, tau in zip(aut.generators, taus):
         if tau == no_move or (tau is not None and is_automorphism(sub, Permutation(tau))):

@@ -35,6 +35,46 @@ Z3 = CayleyTable([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 FIXTURES = {"N3": N3, "N4": N4, "L2": L2, "S6": S6, "IL2": IL2}
 
 
+# Families whose |Aut| is known in closed form at every order (Clifford and
+# Preston, 1961, for the bands and the free semilattice), so they check the
+# chain search past the reach of the brute-force oracles below.
+
+
+def cyclic_group(n: int) -> CayleyTable:
+    """Z_n, x * y = x + y mod n; |Aut| = phi(n), every id a product."""
+    return CayleyTable([[(x + y) % n for y in range(n)] for x in range(n)])
+
+
+def left_zero(n: int) -> CayleyTable:
+    """L_n, x * y = x; every permutation is an automorphism, |Aut| = n!."""
+    return CayleyTable([[x] * n for x in range(n)])
+
+
+def null_semigroup(n: int) -> CayleyTable:
+    """N_n, every product 0; the n - 1 other ids are one psi class, |Aut| = (n - 1)!."""
+    return CayleyTable([[0] * n for _ in range(n)])
+
+
+def rectangular_band(m: int, k: int) -> CayleyTable:
+    """The band I x J, |I| = m and |J| = k, with (i, j) * (i', j') = (i, j'); |Aut| = m! * k!.
+
+    The pair (i, j) has id i * k + j.  Automorphisms permute I and J apart:
+    swapping the factors reverses the product, even when m = k.
+    """
+    return CayleyTable([[x - x % k + y % k for y in range(m * k)] for x in range(m * k)])
+
+
+def free_semilattice(k: int) -> CayleyTable:
+    """The free semilattice on k points: the proper subsets of them under intersection.
+
+    A subset's id is its bit mask, so the product is x & y.  Every
+    automorphism permutes the k maximal subsets, one per missing point,
+    and is fixed by that, so |Aut| = k!.
+    """
+    m = 2**k - 1
+    return CayleyTable([[x & y for y in range(m)] for x in range(m)])
+
+
 def naive_associativity_witness(rows) -> tuple[int, int, int] | None:
     """First failing triple under a full scan, None when associative."""
     n = len(rows)

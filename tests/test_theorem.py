@@ -62,12 +62,17 @@ from support import (
     N4,
     S6,
     Z3,
+    cyclic_group,
+    free_semilattice,
+    left_zero,
     naive_automorphism_images,
     naive_class_action,
     naive_orbit,
     naive_sift,
     non_products_first,
+    null_semigroup,
     random_magma_inflation,
+    rectangular_band,
     reference_chain,
     strong_generators,
 )
@@ -519,6 +524,22 @@ class TestVerifyTheorem:
         with pytest.raises(OrderTooLarge):
             verify_theorem(Z3)
 
+    def test_a_reduced_table_checks_each_aut_generator_once(self, monkeypatch):
+        checked, witness = [], theorem.automorphism_witness
+
+        def counted(table, p):
+            checked.append(p.images)
+            return witness(table, p)
+
+        monkeypatch.setattr(theorem, "automorphism_witness", counted)
+        monkeypatch.setattr(theorem, "is_automorphism", lambda table, p: counted(table, p) is None)
+        chains = _recorded_chains(monkeypatch)
+        l4 = left_zero(4)
+        report = verify_theorem(l4)
+        assert report.all_flags and report.aut_order == 24
+        [aut] = chains
+        assert len(aut.generators) > 1 and checked == sorted(aut.generators)
+
     def test_h_chain_is_the_aut_chain_on_reduced_tables(self, corpus_by_order):
         reduced = [
             t
@@ -757,6 +778,23 @@ def _split_in_place_of_class_swap(chain):
     return _replaced(chain, S6_CLASS_SWAP.images, S6_CLASS_SPLIT.images)
 
 
+# a witness each of the structure checks, patched in to see that it prints
+STRUCTURE_WITNESSES = [
+    (
+        "verify_inflation",
+        InflationWitness("product", (2, 4)),
+        "inflation",
+        "product fails at (2, 4)",
+    ),
+    (
+        "verify_kernel_in_h",
+        (2, 3),
+        "kernel",
+        "theta identifies the h-unrelated pair (2, 3)",
+    ),
+]
+
+
 class TestVerifyTheoremFlagsFail:
     """Each flag goes false, with its witness, when one input to it is broken.
 
@@ -767,8 +805,8 @@ class TestVerifyTheoremFlagsFail:
     as a generator.
     """
 
-    def check(self, expected_flags, expected_keys):
-        report = verify_theorem(S6)
+    def check(self, expected_flags, expected_keys, table=S6):
+        report = verify_theorem(table)
         flags = (
             report.identity_holds,
             report.g_is_normal,
@@ -865,27 +903,37 @@ class TestVerifyTheoremFlagsFail:
         )
         self.check((False, False, True, False), ("factorization", "g_normal", "identity"))
 
-    @pytest.mark.parametrize(
-        "name,value,key,text",
-        [
-            (
-                "verify_inflation",
-                InflationWitness("product", (2, 4)),
-                "inflation",
-                "product fails at (2, 4)",
-            ),
-            (
-                "verify_kernel_in_h",
-                (2, 3),
-                "kernel",
-                "theta identifies the h-unrelated pair (2, 3)",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("name,value,key,text", STRUCTURE_WITNESSES)
     def test_structure_witness_leaves_the_four_flags(self, monkeypatch, name, value, key, text):
         monkeypatch.setattr(theorem, name, lambda *args: value)
         assert self.check((True, True, True, True), (key,)) == {key: text}
         assert verify_theorem(S6).to_text().endswith(f"witnesses: 1\nwitness {key}: {text}\n")
+
+    @pytest.mark.parametrize("name,value,key,text", STRUCTURE_WITNESSES)
+    def test_structure_witness_on_a_reduced_table_leaves_the_four_flags(
+        self, monkeypatch, name, value, key, text
+    ):
+        # Z3 is reduced, so its structure checks run on the identity retraction
+        seen = []
+        monkeypatch.setattr(theorem, name, lambda *args: seen.append(args) or value)
+        assert self.check((True, True, True, True), (key,), Z3) == {key: text}
+        [r] = [arg for arg in seen[0] if isinstance(arg, RetractionMap)]
+        assert r.theta == (0, 1, 2)
+        assert verify_theorem(Z3).to_text().endswith(f"witnesses: 1\nwitness {key}: {text}\n")
+
+    def test_reduced_aut_holding_a_non_automorphism(self, monkeypatch):
+        # Z3 is reduced, so its Aut chain is H as well; the translation x -> x + 1
+        # moves the identity, so it is no automorphism, and with x -> 2x it regrows S3
+        search = theorem._automorphism_chain
+        monkeypatch.setattr(
+            theorem,
+            "_automorphism_chain",
+            lambda *args, **kwargs: _regrow(search(*args, **kwargs), [(0, 2, 1), (1, 2, 0)]),
+        )
+        witnesses = self.check((True, True, True, False), ("factorization",), Z3)
+        assert witnesses == {"factorization": "h-bar generator (1, 2, 0) not in aut"}
+        report = verify_theorem(Z3)
+        assert report.aut_order == report.h_order == 6 and report.g_order == 1
 
     def test_class_splitting_map_in_place_of_a_class_fixing_one(self, monkeypatch):
         monkeypatch.setattr(automorphisms, "_is_class_swap", _refusing(2, 4))
@@ -938,6 +986,30 @@ class TestVerifyTheoremFlagsFail:
 def opposite(table):
     """S^op: the transposed table, x * y read as y * x."""
     return CayleyTable(zip(*table.rows))
+
+
+class TestClosedFormFamilies:
+    """Past the order cap, on families whose |Aut| is known in closed form."""
+
+    @pytest.mark.parametrize(
+        "build,size,aut,g",
+        [
+            (cyclic_group, 64, 32, 1),
+            (left_zero, 64, math.factorial(64), 1),
+            (null_semigroup, 64, math.factorial(63), math.factorial(63)),
+            (lambda k: rectangular_band(k, k), 8, math.factorial(8) ** 2, 1),
+            (free_semilattice, 5, math.factorial(5), 1),
+        ],
+        ids=["Z64", "L64", "N64", "band8x8", "free_semilattice5"],
+    )
+    def test_every_flag_holds_with_the_known_orders(self, build, size, aut, g):
+        table = build(size)
+        report = verify_theorem(table, max_order=table.order)
+        assert report.all_flags and report.witnesses == ()
+        assert (report.aut_order, report.g_order, report.h_order) == (aut, g, aut // g)
+        # N64's non-zero ids are one class; the others are reduced
+        sizes = (1, table.order - 1) if g > 1 else (1,) * table.order
+        assert report.psi_class_sizes == sizes
 
 
 class TestMagmas:
