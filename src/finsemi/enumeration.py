@@ -1,7 +1,8 @@
 """Exhaustive generation of small multiplication tables.
 
-The generator fills table cells one at a time, one generator frame per
-cell, and tries at each cell only the values that fail no fully set
+The generator fills table cells one at a time, all of them from one
+generator frame that keeps each cell's values left and trail mark on a
+stack, and tries at each cell only the values that fail no fully set
 associativity triple, so only semigroups reach the leaves.  It checks
 forward (Haralick and Elliott, 1980; Distler and Kelsey propagate the same
 way in constraint-based semigroup enumeration): once a triple's (a,b) and
@@ -15,21 +16,20 @@ and the set cells are indexed by value, so the triples that read a cell as
 a product are read off two lists.  The leaves and their order are those of
 a fill that tries every value.
 
-Canonical forms take the least encoding over the n! relabelings, which is
+Canonical forms take the least encoding over all n! relabelings, which is
 affordable at the orders this tool targets: a plan cached per order holds
 each relabeling as a bytes.translate table of its images and an itemgetter
-of the flat index each row-major entry comes from, grouped by the ids sent
-to 0 and 1.  Only the groups whose first two entries can be least are
-read, each candidate is built and compared in C as a tuple, and a table
-that no relabeling encodes smaller is returned as it is.
+of the flat index each row-major entry comes from, so each candidate is
+built and compared in C as a tuple, and a table that no relabeling encodes
+smaller is returned as it is.
 
-An up-to-iso run keeps one orbits memo for all its leaves.  The labelled
-stream is lexicographic, so each class's canonical form is its first leaf
-and is read as above, recording nothing; the next leaf of the class builds
-all n! relabelings once and records the encodings of the leaves still to
-come against one shared least form, and each of those is popped from the
-memo on its turn.  An orbit is recorded only when it fits under
-ORBIT_MEMO_CAP entries (order 5 peaks at 136 100), so the memo's memory is
+An up-to-iso run keeps one orbits memo for all its leaves.  A table the
+memo misses builds its orbit once and records every other encoding in it,
+the least one included, against one shared least form; a table the memo
+holds pops its entry.  The labelled stream is lexicographic, so each
+class's only miss is its first leaf, its canonical form, and every later
+leaf of the class is a hit.  An orbit is recorded only when it fits under
+ORBIT_MEMO_CAP entries (order 5 peaks at 137 109), so the memo's memory is
 bounded at any order.
 """
 
@@ -41,7 +41,7 @@ import json
 import operator
 import time
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from .core import CayleyTable, format_table
 from .errors import MalformedInput, OrderTooLarge
@@ -87,6 +87,13 @@ def _fill(
     passes when the triples that read it as (a,b) or (b,c) hold and no
     forcing conflicts.  Run to the end, the fill leaves the grid and at as
     they were.
+
+    One frame runs the whole fill: tries[k] is the iterator over the values
+    cell k has left and marks[k] the trail's length when cell k was
+    reached.  Each value first undoes the trail back to its cell's mark.  A
+    value that passes descends to the next cell by a break out of the value
+    loop, and a cell out of values unsets itself and resumes the cell
+    before it.
     """
     n = len(grid)
     values = range(n)
@@ -113,18 +120,25 @@ def _fill(
                             f = forced[x][z]
                             if w >= 0 > grid[x][z] and f != w and f != n:
                                 if f >= 0:
-                                    return iter(())
+                                    return
                                 forced[x][z] = w
 
-    def fill(k: int) -> Iterator[CayleyTable]:
+    i, j = cells[0]
+    f = forced[i][j]
+    tries = [iter(values if f < 0 else (f,))] + [None] * last
+    marks = [0] * (last + 1)
+    k = 0
+    while True:
         i, j = cell = cells[k]
         cs, as_ = plans[k]
         gi = grid[i]
         gj = grid[j]
         fi = forced[i]
-        mark = len(trail)
-        f = fi[j]
-        for v in values if f < 0 else (f,):
+        mark = marks[k]
+        for v in tries[k]:
+            while len(trail) > mark:
+                y = trail.pop()
+                trail.pop()[y] = -1
             gi[j] = v
             gv = grid[v]
             fv = forced[v]
@@ -208,16 +222,21 @@ def _fill(
                                     elif g != v and g != n:
                                         break
                             else:
-                                held = at[v]
-                                held.append(cell)
-                                yield from fill(k + 1)
-                                held.pop()
-            while len(trail) > mark:
-                y = trail.pop()
-                trail.pop()[y] = -1
-        gi[j] = -1
-
-    return fill(0)
+                                at[v].append(cell)
+                                break  # descend to cell k + 1
+        else:  # cell k is out of values: resume cell k - 1, whose next value undoes the trail
+            gi[j] = -1
+            if not k:
+                return
+            k -= 1
+            i, j = cells[k]
+            at[grid[i][j]].pop()
+            continue
+        k += 1
+        i, j = cells[k]
+        f = forced[i][j]
+        tries[k] = iter(values if f < 0 else (f,))
+        marks[k] = len(trail)
 
 
 def check_enumeration_order(task: EnumerationTask, max_order: int = DEFAULT_MAX_ENUM_ORDER):
@@ -250,48 +269,45 @@ def enumerate_semigroups(
 
 
 @functools.cache
-def _relabel_plan(n: int) -> dict[tuple[int, ...], list[tuple[bytes, operator.itemgetter]]]:
-    """The relabelings sigma of 0..n-1, keyed by (sigma^-1(0), sigma^-1(1)).
+def _relabel_plan(n: int) -> list[tuple[bytes, Callable[[bytes], tuple]]]:
+    """The n! relabelings sigma of 0..n-1, the identity first.
 
-    Each is a bytes.translate table that sends x to sigma(x), with an
-    itemgetter whose entry k is inv[i]*n + inv[j] for the row-major position
+    Each is a bytes.translate table that sends x to sigma(x), with a gather
+    whose entry k is inv[i]*n + inv[j] for the row-major position
     k = i*n + j, inv being sigma's inverse: the relabeled table holds
-    sigma(x) there, x being the entry at that flat index.  The cache keeps
-    n! tables of 256 bytes and n! getters of n^2 indices per order used,
-    524 KiB by tracemalloc at the default cap of 6.
+    sigma(x) there, x being the entry at that flat index.  The gather is an
+    itemgetter, or tuple at order 1, where an itemgetter of one index would
+    return an int.  The cache keeps n! tables of 256 bytes and n! gathers
+    of n^2 indices per order used, 524 KiB by tracemalloc at the default
+    cap of 6.
     """
-    plan: dict[tuple[int, ...], list] = {}
+    plan = []
     for images in itertools.permutations(range(n)):
         inv = [0] * n
         for x, y in enumerate(images):
             inv[y] = x
         src = operator.itemgetter(*(inv[i] * n + inv[j] for i in range(n) for j in range(n)))
-        plan.setdefault(tuple(inv[:2]), []).append((bytes(images).ljust(256, b"\0"), src))
+        plan.append((bytes(images).ljust(256, b"\0"), src if n > 1 else tuple))
     return plan
 
 
 def canonicalize(table: CayleyTable, *, orbits: dict | None = None) -> CayleyTable:
     """Least relabeling of the table, comparing row-major encodings.
 
-    A relabeling sigma with sigma(a) = 0 and sigma(b) = 1 starts its
-    encoding with sigma(aa), sigma(ab); each is 0 when the product is a, 1
-    when it is b, and at least 2 otherwise.  So the least encoding starts
-    with 0 when some a is idempotent (b any other id), else with 1 (b = aa),
-    and over those pairs its second entry is 0 when some ab = a, else 1 when
-    some ab = b.  Only the pairs (a, b) that reach that start are read, all
-    of them when neither product occurs, each relabeling built by one
-    translate and one gather of the flat table and compared as a tuple.  No
-    axiom is assumed.  The result is the table itself exactly when it is
-    canonical.  Orders over DEFAULT_MAX_CANON_ORDER are refused.
+    Every one of the n! relabelings is built, by one translate and one
+    gather of the flat table in C, and the least is kept.  No axiom is
+    assumed.  The result is the table itself exactly when it is canonical.
+    Orders over DEFAULT_MAX_CANON_ORDER are refused.
 
     orbits, when given, is a memo shared between calls: it maps the bytes
-    encoding of a table not yet asked about to its least form.  A hit is
-    popped and its least form returned.  A miss on a table that is not
-    canonical builds every relabeling and records the orbit's other
-    encodings, the least one left out, against one shared least form, when
-    they fit under ORBIT_MEMO_CAP entries; a canonical table records
-    nothing.  Each result is the minimum over a whole orbit, so it does not
-    depend on the order of the calls.
+    encoding of a table not yet asked about to its orbit's least form.  A
+    hit is popped and returns that least form, or the table itself when its
+    rows are the least form's.  A miss builds the orbit once and records
+    every encoding in it but the table's own, the least one included,
+    against one shared least form, when they fit under ORBIT_MEMO_CAP
+    entries.  Each result is the minimum over a whole orbit, so it does not
+    depend on the order of the calls, and a memo whose orbits' members are
+    each asked about once ends empty.
     """
     n = table.order
     if n > DEFAULT_MAX_CANON_ORDER:
@@ -301,39 +317,18 @@ def canonicalize(table: CayleyTable, *, orbits: dict | None = None) -> CayleyTab
     if orbits is not None:
         least = orbits.pop(encoded, None)
         if least is not None:
-            return least
-    idempotents = [a for a in range(n) if rows[a][a] == a]
-    if idempotents:
-        pairs = (
-            [(a, b) for a in idempotents for b, x in enumerate(rows[a]) if x == a != b]
-            or [(a, b) for a in idempotents for b, x in enumerate(rows[a]) if x == b != a]
-            or [(a, b) for a in idempotents for b in range(n) if b != a]
-        )
+            return table if least.rows == rows else least
+    orbit = [src(encoded.translate(images)) for images, src in _relabel_plan(n)]
+    best = min(orbit)
+    if best == orbit[0]:  # no relabeling reads smaller than the identity
+        least = table
     else:
-        pairs = (
-            [(a, row[a]) for a, row in enumerate(rows) if row[row[a]] == a]
-            or [(a, row[a]) for a, row in enumerate(rows) if row[row[a]] == row[a]]
-            or [(a, row[a]) for a, row in enumerate(rows)]
-        )
-    best = flat = tuple(encoded)  # the identity relabeling
-    plan = _relabel_plan(n)
-    for pair in pairs:
-        for images, src in plan[pair]:
-            candidate = src(encoded.translate(images))
-            if candidate < best:
-                best = candidate
-    if best is flat:  # no relabeling reads smaller
-        return table
-    least = CayleyTable._unchecked(tuple(zip(*[iter(best)] * n)))
+        least = CayleyTable._unchecked(tuple(zip(*[iter(best)] * n)))
     if orbits is not None:
-        orbit = {
-            bytes(src(encoded.translate(images))): least
-            for group in plan.values()
-            for images, src in group
-        }
-        del orbit[encoded], orbit[bytes(best)]
-        if len(orbits) + len(orbit) <= ORBIT_MEMO_CAP:
-            orbits.update(orbit)
+        members = dict.fromkeys(map(bytes, orbit), least)
+        del members[encoded]
+        if len(orbits) + len(members) <= ORBIT_MEMO_CAP:
+            orbits.update(members)
     return least
 
 

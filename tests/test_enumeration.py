@@ -269,13 +269,32 @@ class TestUpToIso:
         assert len(calls) == 3492  # OEIS A023814
         assert calls == corpus_by_order[4]
 
+    def test_builds_each_orbit_once_at_its_class_first_leaf(self, monkeypatch):
+        # a hit pops its entry, so a call that leaves the memo no smaller missed it
+        misses = []
+        real = enumeration.canonicalize
+
+        def counted(table, *, orbits):
+            before = len(orbits)
+            result = real(table, orbits=orbits)
+            if len(orbits) >= before:
+                misses.append(table)
+            return result
+
+        monkeypatch.setattr(enumeration, "canonicalize", counted)
+        reps = list(enumerate_semigroups(EnumerationTask(4, mode="up_to_iso")))
+        assert len(misses) == 188  # OEIS A027851
+        assert misses == reps
+
 
 def anchor_strata(rows) -> tuple[str, str]:
-    """How many idempotents, and which second entry the least first entry allows.
+    """How many idempotents, and whether some ab is a or b, over the pairs below.
 
-    The first entry is sigma(aa) for a = sigma^-1(0), b = sigma^-1(1): 0 from an
-    idempotent a (b any other id), else 1 from b = aa.  Over those pairs the
-    second entry sigma(ab) is 0 when ab = a and 1 when ab = b.
+    The pairs (a, b) are each idempotent a with any other id b, or, with no
+    idempotent, each a with b = aa.  These are the features that set the
+    start of a least encoding, sigma(aa) and sigma(ab) for a = sigma^-1(0)
+    and b = sigma^-1(1), so the strata spread the inputs over how their
+    least forms begin.
     """
     n = len(rows)
     idempotents = [a for a in range(n) if rows[a][a] == a]
@@ -295,7 +314,7 @@ def seeded_magmas(seed: int, count: int):
     """Tables of orders 1..5, entries drawn from a random subset of the ids.
 
     Few distinct entries make idempotents and ab in {a, b} common, many make
-    them rare, so every anchor stratum is reached.
+    them rare, so every stratum of anchor_strata is reached.
     """
     rng = random.Random(seed)
     for _ in range(count):
@@ -306,8 +325,8 @@ def seeded_magmas(seed: int, count: int):
 
 class TestCanonicalize:
     def test_matches_naive_oracle_in_every_anchor_stratum(self):
-        # canonicalize reads only the relabelings whose first two entries can
-        # be least; the oracle reads all n! of them
+        # the inputs spread over idempotents and ab in {a, b}, which set how a
+        # least encoding begins; each is checked against the oracle's n! relabelings
         seen: dict[str, int] = {}
         for rows in seeded_magmas(67, 900):
             assert canonicalize(CayleyTable(rows)).rows == naive_canonical_rows(rows), rows
